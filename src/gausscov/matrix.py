@@ -1,12 +1,21 @@
 """Column store and the incremental least-squares engine under all selection code.
 
 Memory stays at O(nq) for the data plus O(nk) for the fitted basis; no n x n or
-q x q matrix is ever formed.  Each selection step costs O(nq): one product of
-the matrix with the current residual, plus a rank-one downdate of cached
-per-column norms after a column enters the basis.
+q x q matrix is ever formed.  A fit that scans for candidates keeps two vectors
+of length q: X^T r, the products of every column with the current residual, and
+each column's squared norm orthogonal to the basis.  The first scan fills both
+with one matrix product X^T [r | basis].  After that each selection step reads
+the matrix once: a column entering the basis as unit vector u, with residual
+coefficient c, costs one product X^T u, which updates X^T r to X^T r - c X^T u
+and the norms to norms - (X^T u)^2.  Scans score from the kept vectors in O(q).
+
+Every step is recorded as a ``Step`` when asked, so that a fit with the same
+start can repeat it by ``replay`` in O(n + q), without touching the matrix.
 """
 
+import copy
 import math
+from collections import namedtuple
 
 import numpy as np
 
@@ -21,8 +30,10 @@ __all__ = [
     "COLLINEARITY_TOL",
     "DataMatrix",
     "ResidualState",
+    "Step",
     "extend",
     "extend_intercept",
+    "replay",
     "scan_best",
     "standardize",
 ]
@@ -43,7 +54,8 @@ class DataMatrix:
     be reported on the original scale.
     """
 
-    __slots__ = ("values", "n", "q", "names", "offsets", "scales", "standardized")
+    __slots__ = ("values", "n", "q", "names", "offsets", "scales", "standardized",
+                 "_norm2")
 
     def __init__(self, values, names=None, offsets=None, scales=None,
                  standardized=None, copy=True):
@@ -73,6 +85,16 @@ class DataMatrix:
         if standardized is None:
             standardized = np.zeros(self.q, dtype=bool)
         self.standardized = np.asarray(standardized, bool)
+        self._norm2 = None
+
+    def col_norm2(self):
+        """Squared norm of every column, computed on first use (read-only)."""
+        # threads that race here compute equal arrays, so either write may win
+        if self._norm2 is None:
+            norm2 = np.einsum("ij,ij->j", self.values, self.values)
+            norm2.flags.writeable = False
+            self._norm2 = norm2
+        return self._norm2
 
     def col(self, j):
         """Read-only view of column j."""
@@ -118,19 +140,33 @@ def standardize(m):
     )
 
 
+# One covariate entering a fit: column j, its unit vector u orthogonal to the
+# earlier basis, the residual's coefficient c on u, and X^T u (None while the
+# fit has no scan cache).
+Step = namedtuple("Step", ["j", "u", "c", "xtu"])
+
+
 class ResidualState:
     """Mutable state of one growing least-squares fit.
 
     Holds the selected column indices, the current residual and its squared
     norm, and an orthonormal basis of the fitted span.  The intercept, when
-    fitted, occupies a basis vector but is not listed in ``selected``.  A state
-    belongs to one thread; it is not safe to share while being extended.
+    fitted, occupies a basis vector but is not listed in ``selected``.
+
+    Once ``scan_best`` has run, the state also keeps X^T r and the columns'
+    squared norms orthogonal to the basis, for the matrix it scanned; each
+    later extension updates both from its one product X^T u.  When ``steps``
+    is a list, every covariate extension appends its ``Step`` there.
+
+    Arrays are replaced, never written in place, so ``fork`` can share them.
+    A state belongs to one thread; it is not safe to share while being
+    extended.
     """
 
-    __slots__ = ("n", "selected", "residual", "rss", "basis",
-                 "_cache_for", "_orig_norm2", "_resid_norm2")
+    __slots__ = ("n", "selected", "residual", "rss", "basis", "steps",
+                 "_cache_for", "_xtr", "_resid_norm2")
 
-    def __init__(self, y):
+    def __init__(self, y, record=False):
         y = np.asarray(y, dtype=np.float64).ravel()
         if y.size < 1:
             raise DomainError("response is empty")
@@ -141,14 +177,24 @@ class ResidualState:
         self.residual = y.copy()
         self.rss = float(y @ y)
         self.basis = []
+        self.steps = [] if record else None
         self._cache_for = None
-        self._orig_norm2 = None
+        self._xtr = None
         self._resid_norm2 = None
 
     @property
     def fit_size(self):
         """Number of fitted regressors, intercept included."""
         return len(self.basis)
+
+    def fork(self):
+        """An independent copy that extends without affecting this state."""
+        other = copy.copy(self)
+        other.selected = list(self.selected)
+        other.basis = list(self.basis)
+        if self.steps is not None:
+            other.steps = list(self.steps)
+        return other
 
 
 def _orthogonal_component(basis, v):
@@ -160,6 +206,15 @@ def _orthogonal_component(basis, v):
     return u
 
 
+def _apply(state, u, c, xtu):
+    state.residual = state.residual - c * u
+    state.rss = float(state.residual @ state.residual)
+    state.basis.append(u)
+    if xtu is not None:
+        state._xtr = state._xtr - c * xtu
+        state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
+
+
 def _extend_vector(state, v, orig_norm2):
     u = _orthogonal_component(state.basis, v)
     u2 = float(u @ u)
@@ -167,14 +222,9 @@ def _extend_vector(state, v, orig_norm2):
         raise CollinearColumn("vector is numerically collinear with the current basis")
     u /= math.sqrt(u2)
     c = float(u @ state.residual)
-    state.residual = state.residual - c * u
-    state.rss = float(state.residual @ state.residual)
-    state.basis.append(u)
-    if state._resid_norm2 is not None:
-        proj = state._cache_for.values.T @ u
-        state._resid_norm2 -= proj * proj
-        np.maximum(state._resid_norm2, 0.0, out=state._resid_norm2)
-    return u
+    xtu = None if state._cache_for is None else state._cache_for.values.T @ u
+    _apply(state, u, c, xtu)
+    return u, c, xtu
 
 
 def extend_intercept(state):
@@ -200,27 +250,42 @@ def extend(state, m, j):
         raise DomainError(f"column {j} is already selected")
     x = m.col(j)
     try:
-        _extend_vector(state, x, float(x @ x))
+        u, c, xtu = _extend_vector(state, x, float(x @ x))
     except CollinearColumn:
         raise CollinearColumn(
             f"column {j} is numerically collinear with the current basis"
         ) from None
     state.selected.append(j)
+    if state.steps is not None:
+        state.steps.append(Step(j, u, c, xtu))
+    return state
+
+
+def replay(state, step):
+    """Repeat a recorded ``Step`` in O(n + q), without reading the matrix.
+
+    The result is bit-for-bit the state ``extend`` would give, provided
+    ``state`` is bit-for-bit the state the step was recorded on: the same fit
+    of the same response, with the scan cache present exactly when it was.
+    """
+    _apply(state, step.u, step.c, step.xtu)
+    state.selected.append(step.j)
+    if state.steps is not None:
+        state.steps.append(step)
     return state
 
 
 def _ensure_scan_cache(state, m):
-    if state._cache_for is m and state._resid_norm2 is not None:
+    if state._cache_for is m:
         return
-    X = m.values
-    orig = np.einsum("ij,ij->j", X, X)
-    resid = orig.copy()
-    for b in state.basis:
-        proj = X.T @ b
-        resid -= proj * proj
+    # one pass over X for X^T r and the products with every basis vector
+    prod = m.values.T @ np.column_stack([state.residual] + state.basis)
+    resid = np.array(m.col_norm2())
+    for i in range(1, prod.shape[1]):
+        resid -= prod[:, i] * prod[:, i]
     np.maximum(resid, 0.0, out=resid)
     state._cache_for = m
-    state._orig_norm2 = orig
+    state._xtr = np.ascontiguousarray(prod[:, 0])
     state._resid_norm2 = resid
 
 
@@ -229,7 +294,9 @@ def scan_best(state, m, excluded=()):
 
     Returns ``(j, rss_after_adding_j)``.  Ties break to the smallest index.
     Selected, excluded and numerically collinear columns are skipped; if
-    nothing admissible remains, NoCandidates is raised.
+    nothing admissible remains, NoCandidates is raised.  Scores come from the
+    state's kept X^T r and residual column norms; only the first scan of a
+    state (or of a new matrix) reads ``m``.
 
     ``excluded`` may be an iterable of column indices or a boolean mask of
     length q.
@@ -237,10 +304,10 @@ def scan_best(state, m, excluded=()):
     if m.n != state.n:
         raise DomainError("matrix row count does not match the state")
     _ensure_scan_cache(state, m)
-    cor = m.values.T @ state.residual
+    cor = state._xtr
     red = cor * cor
     denom = state._resid_norm2
-    admissible = denom > COLLINEARITY_TOL * state._orig_norm2
+    admissible = denom > COLLINEARITY_TOL * m.col_norm2()
     score = np.full(m.q, -np.inf)
     np.divide(red, denom, out=score, where=admissible)
     if isinstance(excluded, np.ndarray) and excluded.dtype == bool:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import pvalues
 from .errors import CollinearColumn, DomainError, NoCandidates, TooManyColumns
-from .matrix import ResidualState, extend, extend_intercept, scan_best
+from .matrix import ResidualState, extend, extend_intercept, replay, scan_best
 
 __all__ = [
     "ApproximationSet",
@@ -320,7 +320,29 @@ def _member_pvalues(m, y, members, cfg, q_pool):
 # f1st: stepwise selection + all-subset refinement
 # ---------------------------------------------------------------------------
 
-def f1st(m, y, cfg=None, exclude=()):
+class _RunLog:
+    """The steps of one ``f1st`` run, kept so that another run can resume from them.
+
+    ``start`` is the state after the intercept with the scan cache built, taken
+    just before the first covariate step; ``steps`` pairs each accepted step's
+    scanned rss with its ``Step``.  A run given ``parent`` starts from the
+    parent's ``start`` and replays the parent's steps up to the first one whose
+    column it excludes.  That is exact when the parent excluded a subset of
+    what this run excludes: the parent's choices up to there never fell on a
+    column this run excludes, so its scans would have returned the same
+    choices from the same states.
+    """
+
+    __slots__ = ("parent", "excluded", "start", "steps")
+
+    def __init__(self, parent=None):
+        self.parent = parent
+        self.excluded = None
+        self.start = None
+        self.steps = []
+
+
+def f1st(m, y, cfg=None, exclude=(), *, _log=None):
     """Stepwise Gaussian-covariate selection.
 
     Fits the intercept (when configured), then repeatedly adds the candidate
@@ -353,14 +375,22 @@ def f1st(m, y, cfg=None, exclude=()):
     y = _check_inputs(m, y)
     excl = _valid_exclusions(m, exclude)
     q_pool = m.q - len(excl)
-    state = ResidualState(y)
-    if cfg.intercept:
-        extend_intercept(state)
     excl_mask = np.zeros(m.q, dtype=bool)
     if excl:
         excl_mask[list(excl)] = True
+    parent = None if _log is None else _log.parent
+    if parent is not None and parent.excluded <= excl:
+        state = parent.start.fork()
+        recorded = itertools.takewhile(lambda rec: not excl_mask[rec[1].j], parent.steps)
+        _log.start = parent.start
+    else:
+        state = ResidualState(y, record=_log is not None)
+        if cfg.intercept:
+            extend_intercept(state)
+        recorded = iter(())
     rss_floor = state.rss * _PERFECT_FIT_REL
     trace = []
+    scanned = []  # rss each accepted step's scan returned
     while True:
         k_sel = len(state.selected)
         if k_sel >= q_pool:
@@ -370,18 +400,34 @@ def f1st(m, y, cfg=None, exclude=()):
             break
         if state.rss <= rss_floor:
             break
-        try:
-            j, rss_cand = scan_best(state, m, excl_mask)
-        except NoCandidates:
-            break
+        # a recorded step stands in for the scan that would choose it
+        rec = next(recorded, None)
+        if rec is not None:
+            rss_cand, step = rec
+            j = step.j
+        else:
+            try:
+                j, rss_cand = scan_best(state, m, excl_mask)
+            except NoCandidates:
+                break
         ctx = pvalues.PvalueContext(m.n, fit_new, q_pool - k_sel)
         p_f = pvalues.pf_from_rss_ratio(ctx, rss_cand, state.rss)
         p_g = pvalues.pg_stepwise(ctx, p_f)
         if k_sel < cfg.kmn or p_g < cfg.p0:
-            extend(state, m, j)
+            if _log is not None and _log.start is None:
+                _log.start = state.fork()
+            scanned.append(rss_cand)
+            if rec is not None:
+                replay(state, step)
+            else:
+                extend(state, m, j)
             trace.append(TraceStep(j, p_f, p_g, state.rss, forced=p_g >= cfg.p0))
         else:
             break
+    if _log is not None:
+        _log.parent = None
+        _log.excluded = frozenset(excl)
+        _log.steps = list(zip(scanned, state.steps))
     sel = list(state.selected)
     if sel and len(sel) <= cfg.max_subset_refine:
         final_sel, final_pg = _refine(m, y, sel, cfg, q_pool)
@@ -526,32 +572,42 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     with ``accumulate_exclusions=False`` each branch excludes only its own
     covariate on top of the base exclusions.  Branches are deduplicated by
     exclusion set, results by selected set; the set is ordered by rss.
+
+    A branch does not start from scratch: it resumes from the run it branched
+    from (the root, when exclusions do not accumulate), replaying that run's
+    steps up to the one that chose a column the branch excludes, and only
+    recomputes their P-values for its smaller competitor pool.  The output is
+    the same as that of running every branch from scratch.
     """
     if cfg is None:
         cfg = SelectionConfig()
     base = frozenset(_valid_exclusions(m, exclude))
-    root = f1st(m, y, cfg, exclude=base)
+    root_log = _RunLog()
+    root = f1st(m, y, cfg, exclude=base, _log=root_log)
     if not root.selected:
         return ApproximationSet([], [])
     seen_excl = {base}
     found = {frozenset(root.selected): (root, "root")}
-    frontier = [(root, base)]
+    frontier = [(root, base, root_log)]
     for depth in range(1, cfg.m + 1):
         nxt = []
-        for res, excl in frontier:
+        for res, excl, log in frontier:
             for i in res.selected:
                 bex = (excl | {i}) if accumulate_exclusions else frozenset(base | {i})
                 if bex in seen_excl or len(bex) >= m.q:
                     continue
                 seen_excl.add(bex)
-                r2 = f1st(m, y, cfg, exclude=bex)
+                blog = _RunLog(log if accumulate_exclusions else root_log)
+                r2 = f1st(m, y, cfg, exclude=bex, _log=blog)
                 if not r2.selected:
                     continue
                 key = frozenset(r2.selected)
                 if key not in found:
                     dropped = ", ".join(m.names[j] for j in sorted(bex - base))
                     found[key] = (r2, f"depth {depth}, excluding {dropped}")
-                nxt.append((r2, bex))
+                # only runs that later branches resume from keep their steps
+                keep = accumulate_exclusions and depth < cfg.m
+                nxt.append((r2, bex, blog if keep else None))
         frontier = nxt
     results = [r for r, _ in found.values()]
     provenance = [p for _, p in found.values()]

@@ -171,20 +171,35 @@ class TestScanBest:
         return best
 
     def test_matches_dense_search_over_random_problems(self):
+        # the scan scores from X^T r kept by recurrence across extensions, so
+        # run long paths, near-exact fits and strongly correlated columns too
         rng = np.random.default_rng(1999)
-        for trial in range(25):
-            n, q = 35, 12
+        n, q = 35, 12
+
+        def noise(X):
+            return rng.standard_normal(n)
+
+        def near_exact(X):
+            return X[:, :3] @ [2.0, -1.5, 1.0] + 1e-10 * rng.standard_normal(n)
+
+        def common_column(X):
+            z = rng.standard_normal(n)
+            X[:] = 0.9 * z[:, None] + np.sqrt(1 - 0.81) * X
+            return X[:, :2] @ [1.0, 1.0] + 0.1 * rng.standard_normal(n)
+
+        cases = [(noise, 3)] * 25 + [(noise, 8), (near_exact, 8), (common_column, 8)] * 8
+        for trial, (response, steps) in enumerate(cases):
             X = rng.standard_normal((n, q))
-            y = rng.standard_normal(n)
+            y = response(X)
             m = DataMatrix(X)
             st = ResidualState(y)
             extend_intercept(st)
             fitted = [np.ones(n)]
             taken = set()
-            for _ in range(3):
+            for _ in range(steps):
                 j, rss_after = scan_best(st, m, excluded=taken)
                 want_rss, want_j = self.brute_best(X, y, fitted, taken)
-                assert j == want_j, trial
+                assert j == want_j, (trial, response.__name__)
                 assert rss_after == pytest.approx(want_rss, rel=1e-8, abs=1e-12)
                 extend(st, m, j)
                 fitted.append(X[:, j])

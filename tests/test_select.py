@@ -522,6 +522,104 @@ class TestF3st:
         assert root in {frozenset(r.selected) for r in flat.results}
 
 
+def f3st_from_scratch(m, y, cfg, accumulate):
+    """f3st's branch tree rebuilt with plain f1st calls, each from scratch."""
+    root = f1st(m, y, cfg)
+    if not root.selected:
+        return [], []
+    seen, found = {frozenset()}, {frozenset(root.selected): (root, "root")}
+    frontier = [(root, frozenset())]
+    for depth in range(1, cfg.m + 1):
+        nxt = []
+        for res, excl in frontier:
+            for i in res.selected:
+                bex = (excl | {i}) if accumulate else frozenset({i})
+                if bex in seen or len(bex) >= m.q:
+                    continue
+                seen.add(bex)
+                r = f1st(m, y, cfg, exclude=bex)
+                if not r.selected:
+                    continue
+                dropped = ", ".join(m.names[j] for j in sorted(bex))
+                found.setdefault(frozenset(r.selected), (r, f"depth {depth}, excluding {dropped}"))
+                nxt.append((r, bex))
+        frontier = nxt
+    order = sorted(found.values(), key=lambda v: (v[0].rss, len(v[0].selected), v[0].selected))
+    return [r for r, _ in order], [p for _, p in order]
+
+
+class TestF3stPrefixReuse:
+    """Branches resumed from their parent's steps equal branches run from scratch."""
+
+    def four_signals(self, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((90, 30))
+        y = X[:, :4] @ [3.0, 2.5, 2.0, 1.5] + rng.standard_normal(90)
+        for a in range(4):
+            X[:, 10 + a] = X[:, a] + 0.3 * rng.standard_normal(90)
+        return DataMatrix(X), y
+
+    def forced_flips(self):
+        # kmn=3 forces steps whose p_g sits just above p0; with one competitor
+        # fewer, a replayed step's p_g drops below p0 and it is no longer forced
+        rng = np.random.default_rng(201)
+        X = rng.standard_normal((40, 8))
+        y = X[:, :3] @ [0.5, 0.45, 0.4] + rng.standard_normal(40)
+        return DataMatrix(X), y
+
+    def assert_same_as_from_scratch(self, m, y, cfg, accumulate, monkeypatch):
+        import gausscov.select as select_mod
+
+        scans = []
+        counted = select_mod.scan_best
+
+        def counting(*args, **kwargs):
+            scans.append(1)
+            return counted(*args, **kwargs)
+
+        monkeypatch.setattr(select_mod, "scan_best", counting)
+        got = f3st(m, y, cfg, accumulate_exclusions=accumulate)
+        reused = len(scans)
+        scans.clear()
+        want, provenance = f3st_from_scratch(m, y, cfg, accumulate)
+        assert len(got) == len(want) >= 2
+        assert got.provenance == provenance
+        for a, b in zip(got.results, want):
+            assert (json.dumps(a.to_dict(include_trace=True))
+                    == json.dumps(b.to_dict(include_trace=True)))
+        assert reused < len(scans)
+        return got
+
+    @pytest.mark.parametrize("accumulate", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_byte_identical_to_from_scratch_branches(self, seed, accumulate, monkeypatch):
+        m, y = self.four_signals(seed)
+        self.assert_same_as_from_scratch(m, y, SelectionConfig(m=2), accumulate, monkeypatch)
+
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_forced_steps_in_replayed_prefixes(self, accumulate, monkeypatch):
+        # kmn=6 forces steps past the four signals; branches that exclude a
+        # late step replay forced ones
+        m, y = self.four_signals(2)
+        self.assert_same_as_from_scratch(m, y, SelectionConfig(m=3, kmn=6), accumulate,
+                                         monkeypatch)
+
+    @pytest.mark.parametrize("accumulate", [True, False])
+    def test_forced_flags_rederived_on_replayed_steps(self, accumulate, monkeypatch):
+        m, y = self.forced_flips()
+        cfg = SelectionConfig(m=2, kmn=3)
+        got = self.assert_same_as_from_scratch(m, y, cfg, accumulate, monkeypatch)
+        root = f1st(m, y, cfg)
+        flipped = [
+            (a.index, a.forced)
+            for r in got.results
+            for a, b in itertools.takewhile(lambda ab: ab[0].index == ab[1].index,
+                                            zip(root.trace, r.trace))
+            if a.forced != b.forced
+        ]
+        assert flipped
+
+
 class TestDeterminism:
     def test_f1st_byte_identical_across_runs(self):
         rng = np.random.default_rng(515)
