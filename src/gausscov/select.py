@@ -17,13 +17,12 @@ ever estimated.
 """
 
 import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import pvalues
-from .errors import CollinearColumn, DomainError, NoCandidates, TooManyColumns
+from .errors import DomainError, NoCandidates, TooManyColumns
 from .matrix import ResidualState, extend, extend_intercept, replay, scan_best
 
 __all__ = [
@@ -38,7 +37,8 @@ __all__ = [
 ]
 
 # Fits whose rss has collapsed below this fraction of the post-intercept rss
-# are treated as exact: further ratios would be 0/0.
+# (of y @ y without an intercept) are treated as exact: further ratios would
+# be 0/0.
 _PERFECT_FIT_REL = 1e-12
 
 _BATCH = 65536
@@ -195,55 +195,81 @@ def _valid_exclusions(m, exclude):
     return excl
 
 
-def _design(m, cols, y, intercept):
-    parts = [np.ones((m.n, 1))] if intercept else []
-    if cols:
-        parts.append(m.values[:, list(cols)])
-    if not parts:
-        return np.empty((m.n, 0))
-    return np.concatenate(parts, axis=1)
+class _Fit:
+    """Thin QR of the design A = [1 | X[:, cols]], from which every reported fit is read.
+
+    With A = QR, c = Q^T y and rss0 = |y - Qc|^2, the least-squares fit on any
+    set S of A's columns has the coefficients of min_b |c - R[:, S] b| and rss
+    rss0 plus that minimum, so subset fits are (k+1)-row problems that never
+    touch the n rows again.  Covariates are addressed by their positions in
+    ``cols``; the intercept, when fitted, is A's first column.
+    """
+
+    def __init__(self, m, y, cols, intercept):
+        self.n = m.n
+        self.cols = list(cols)
+        self.off = int(intercept)
+        a = m.values[:, self.cols]
+        if intercept:
+            a = np.column_stack([np.ones(m.n), a])
+        q, self.r = np.linalg.qr(a)
+        self.c = q.T @ y
+        resid = y - q @ self.c
+        self.rss0 = float(resid @ resid)
+        # the covariate block of R and c, with the intercept projected out:
+        # subsets that keep the intercept are fitted from it without the
+        # cancellation of n * mean(y)^2
+        r, c = self.r[self.off:, self.off:], self.c[self.off:]
+        self.gram = r.T @ r
+        self.rc = r.T @ c
+        # rss after the intercept alone (y.y without it), and the level at or
+        # below which an rss is rounding noise, as in stepwise: the fit is exact
+        self.tss = self.rss0 + float(c @ c)
+        self.floor = _PERFECT_FIT_REL * self.tss
+
+    def solve(self, pos, intercept=True):
+        """(rss, coefficients) of the fit on covariate positions ``pos``.
+
+        The intercept, when fitted, comes first unless ``intercept`` is False.
+        """
+        idx = [0] if self.off and intercept else []
+        idx += [i + self.off for i in pos]
+        r = self.r[:, idx]
+        beta = np.linalg.lstsq(r, self.c, rcond=None)[0]
+        d = self.c - r @ beta
+        return self.rss0 + float(d @ d), beta
+
+    def pf(self, ctx, rss, rss_wo):
+        """P_F of a term whose removal leaves ``rss_wo``; 1.0 when that fit is already exact."""
+        if rss_wo <= self.floor:
+            return 1.0
+        return pvalues.pf_from_rss_ratio(ctx, rss, rss_wo)
 
 
-def _refit_rss(m, cols, y, intercept):
-    a = _design(m, cols, y, intercept)
-    if a.shape[1] == 0:
-        return float(y @ y), np.empty(0)
-    beta, *_ = np.linalg.lstsq(a, y, rcond=None)
-    r = y - a @ beta
-    return float(r @ r), beta
+def _build_result(m, fit, pos, pg, q_pool, trace):
+    """Assemble a SelectionResult for covariate positions ``pos`` of ``fit``.
 
-
-def _gram(m, cols, y, intercept):
-    a = _design(m, cols, y, intercept)
-    return a.T @ a, a.T @ y, float(y @ y)
-
-
-def _build_result(m, y, sel, pg, cfg, q_pool, trace):
-    """Assemble a SelectionResult, refitting for coefficients on the original scale."""
-    n = m.n
-    rss, beta = _refit_rss(m, sel, y, cfg.intercept)
-    off = int(cfg.intercept)
-    coef_stored = beta[off:] if len(beta) else np.empty(0)
+    Coefficients are reported on the original scale of the data.
+    """
+    n = fit.n
+    sel = [fit.cols[i] for i in pos]
+    rss, beta = fit.solve(pos)
     # undo recorded rescaling: stored = (raw - offset)/scale
     coefs = []
     shift_total = 0.0
-    for pos, j in enumerate(sel):
-        c = float(coef_stored[pos]) / float(m.scales[j])
+    for b, j in zip(beta[fit.off:], sel):
+        c = float(b) / float(m.scales[j])
         coefs.append(c)
         shift_total += c * float(m.offsets[j])
     intercept_coef = None
     intercept_pg = None
-    if cfg.intercept:
+    if fit.off:
         intercept_coef = float(beta[0]) - shift_total
-        rss_wo, _ = _refit_rss(m, sel, y, False)
-        fit_size = len(sel) + 1
-        if rss_wo > 0.0 and n - fit_size >= 2:
-            ctx = pvalues.PvalueContext(n, fit_size, max(q_pool - len(sel), 0))
-            intercept_pg = pvalues.pf_from_rss_ratio(ctx, rss, rss_wo)
-        else:
-            intercept_pg = 1.0 if rss_wo <= 0.0 else None
+        rss_wo, _ = fit.solve(pos, intercept=False)
+        ctx = pvalues.PvalueContext(n, len(sel) + 1, q_pool - len(sel))
+        intercept_pg = fit.pf(ctx, rss, rss_wo)
     return SelectionResult(
-        selected=list(sel),
+        selected=sel,
         pg=list(pg),
         coefficients=coefs,
         rss=rss,
@@ -256,64 +282,74 @@ def _build_result(m, y, sel, pg, cfg, q_pool, trace):
     )
 
 
-def _combo_stats(G, g, yy, combos, int_flag):
-    """Batched subset fits from one shared Gram system.
+def _combo_stats(fit, combos):
+    """Batched subset fits, each with the intercept when fitted, from the fit's
+    covariate Gram system.
 
-    ``combos`` is a (B, s) int array of covariate positions (0-based within the
-    Gram's covariate block).  Returns (rss, rss_minus, ok): the subset rss, the
-    per-member rss after dropping that member alone, and a validity mask
-    (well-conditioned, positive residuals).  Uses the identity that dropping
-    regressor i raises rss by beta_i^2 / [(X^T X)^{-1}]_{ii}.
+    ``combos`` is a (B, s) int array of covariate positions.  Returns (rss,
+    rss_minus, ok): the subset rss, the per-member rss after dropping that
+    member alone, and a validity mask (well-conditioned, and no member whose
+    removal leaves an exact fit).  Uses the identity that dropping regressor i
+    raises rss by beta_i^2 / [G^{-1}]_{ii}.
     """
     B, s = combos.shape
-    if int_flag:
-        idx = np.concatenate([np.zeros((B, 1), dtype=np.intp), combos + 1], axis=1)
-    else:
-        idx = combos.astype(np.intp)
-    t = idx.shape[1]
-    Gs = G[idx[:, :, None], idx[:, None, :]]
-    gs = g[idx]
+    Gs = fit.gram[combos[:, :, None], combos[:, None, :]]
+    gs = fit.rc[combos]
     with np.errstate(all="ignore"):
         try:
             beta = np.linalg.solve(Gs, gs[..., None])[..., 0]
             inv = np.linalg.inv(Gs)
         except np.linalg.LinAlgError:
             # fall back to per-subset solves, flagging singular ones
-            beta = np.full((B, t), np.nan)
-            inv = np.full((B, t, t), np.nan)
+            beta = np.full((B, s), np.nan)
+            inv = np.full((B, s, s), np.nan)
             for b in range(B):
                 try:
                     beta[b] = np.linalg.solve(Gs[b], gs[b])
                     inv[b] = np.linalg.inv(Gs[b])
                 except np.linalg.LinAlgError:
                     pass
-        rss = yy - np.einsum("bt,bt->b", gs, beta)
-        diag = np.einsum("btt->bt", inv)
-        bump = beta * beta / diag
-        rss_minus = rss[:, None] + bump[:, int_flag:]
+        rss = fit.tss - np.einsum("bs,bs->b", gs, beta)
+        diag = np.einsum("bss->bs", inv)
+        rss_minus = rss[:, None] + beta * beta / diag
     np.maximum(rss, 0.0, out=rss)
     ok = (
         np.isfinite(rss)
         & np.isfinite(rss_minus).all(axis=1)
-        & (rss_minus > 0.0).all(axis=1)
+        & (rss_minus > fit.floor).all(axis=1)
     )
     return rss, rss_minus, ok
 
 
-def _member_pvalues(m, y, members, cfg, q_pool):
-    """Exact per-member all-subset P-values for one reported subset."""
-    n = m.n
-    s = len(members)
-    int_flag = int(cfg.intercept)
-    rss, _ = _refit_rss(m, members, y, cfg.intercept)
-    ctx = pvalues.PvalueContext(n, s + int_flag, q_pool - s)
+def _passing_subsets(fit, p0, q_pool):
+    """Subsets of the fit's covariates whose every member passes the membership test.
+
+    Yields (rss, size, positions) for each subset small enough to leave two
+    residual degrees of freedom.
+    """
+    k = len(fit.cols)
+    for s in range(1, min(k, fit.n - fit.off - 2) + 1):
+        pf_thr = pvalues.pf_threshold(p0, q_pool - s + 1)
+        x_thr = pvalues.beta_cdf_inv((fit.n - s - fit.off) / 2.0, 0.5, pf_thr)
+        combos = np.array(list(itertools.combinations(range(k), s)), dtype=np.intp)
+        for lo in range(0, len(combos), _BATCH):
+            chunk = combos[lo:lo + _BATCH]
+            rss, rss_minus, ok = _combo_stats(fit, chunk)
+            keep = ok & (rss < x_thr * rss_minus.min(axis=1))
+            for b in np.flatnonzero(keep):
+                yield float(rss[b]), s, tuple(chunk[b])
+
+
+def _member_pvalues(fit, pos, q_pool):
+    """Exact per-member all-subset P-values for the subset at positions ``pos``."""
+    s = len(pos)
+    rss, _ = fit.solve(pos)
+    ctx = pvalues.PvalueContext(fit.n, s + fit.off, q_pool - s)
     out = []
     for i in range(s):
-        rest = members[:i] + members[i + 1:]
-        rss_wo, _ = _refit_rss(m, rest, y, cfg.intercept)
-        p_f = pvalues.pf_from_rss_ratio(ctx, rss, rss_wo)
-        out.append(pvalues.pg_all_subset(ctx, p_f))
-    return out, rss
+        rss_wo, _ = fit.solve(pos[:i] + pos[i + 1:])
+        out.append(pvalues.pg_all_subset(ctx, fit.pf(ctx, rss, rss_wo)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -429,41 +465,21 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None):
         _log.excluded = frozenset(excl)
         _log.steps = list(zip(scanned, state.steps))
     sel = list(state.selected)
+    fit = _Fit(m, y, sel, cfg.intercept)
     if sel and len(sel) <= cfg.max_subset_refine:
-        final_sel, final_pg = _refine(m, y, sel, cfg, q_pool)
+        pos, pg = _refine(fit, cfg.p0, q_pool)
     else:
-        final_sel = sel
-        final_pg = [t.p_g for t in trace]
-    return _build_result(m, y, final_sel, final_pg, cfg, q_pool, trace)
+        pos, pg = list(range(len(sel))), [t.p_g for t in trace]
+    return _build_result(m, fit, pos, pg, q_pool, trace)
 
 
-def _refine(m, y, sel, cfg, q_pool):
-    """Least-rss subset of ``sel`` whose every member passes the membership test."""
-    n = m.n
-    k = len(sel)
-    int_flag = int(cfg.intercept)
-    G, g, yy = _gram(m, sel, y, cfg.intercept)
-    best = None  # (rss, size, combo)
-    for s in range(1, k + 1):
-        if n - (s + int_flag) < 2:
-            break
-        pf_thr = pvalues.pf_threshold(cfg.p0, q_pool - s + 1)
-        x_thr = pvalues.beta_cdf_inv((n - s - int_flag) / 2.0, 0.5, pf_thr)
-        combos = np.array(list(itertools.combinations(range(k), s)), dtype=np.intp)
-        for lo in range(0, len(combos), _BATCH):
-            chunk = combos[lo:lo + _BATCH]
-            rss, rss_minus, ok = _combo_stats(G, g, yy, chunk, int_flag)
-            worst = rss_minus.min(axis=1)
-            keep = ok & (rss < x_thr * worst)
-            for b in np.flatnonzero(keep):
-                cand = (float(rss[b]), s, tuple(chunk[b]))
-                if best is None or cand < best:
-                    best = cand
+def _refine(fit, p0, q_pool):
+    """Least-rss passing subset of the fit's covariates: (positions, member P-values)."""
+    best = min(_passing_subsets(fit, p0, q_pool), default=None)
     if best is None:
         return [], []
-    members = [sel[i] for i in best[2]]
-    pg, _ = _member_pvalues(m, y, members, cfg, q_pool)
-    return members, pg
+    pos = list(best[2])
+    return pos, _member_pvalues(fit, pos, q_pool)
 
 
 # ---------------------------------------------------------------------------
@@ -490,24 +506,9 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
         raise TooManyColumns(
             f"all-subset search over {q_pool} columns exceeds the cap of {cap}"
         )
-    int_flag = int(cfg.intercept)
-    retained = []  # (rss, size, combo of positions)
-    if q_pool:
-        G, g, yy = _gram(m, cand, y, cfg.intercept)
-        s_max = min(q_pool, m.n - int_flag - 2)
-        for s in range(1, s_max + 1):
-            pf_thr = pvalues.pf_threshold(cfg.p0, q_pool - s + 1)
-            x_thr = pvalues.beta_cdf_inv((m.n - s - int_flag) / 2.0, 0.5, pf_thr)
-            combos = np.array(list(itertools.combinations(range(q_pool), s)), dtype=np.intp)
-            for lo in range(0, len(combos), _BATCH):
-                chunk = combos[lo:lo + _BATCH]
-                rss, rss_minus, ok = _combo_stats(G, g, yy, chunk, int_flag)
-                worst = rss_minus.min(axis=1)
-                keep = ok & (rss < x_thr * worst)
-                for b in np.flatnonzero(keep):
-                    retained.append((float(rss[b]), s, tuple(chunk[b])))
+    fit = _Fit(m, y, cand, cfg.intercept)
+    retained = sorted(_passing_subsets(fit, cfg.p0, q_pool), key=lambda r: (-r[1], r[0], r[2]))
     # drop retained subsets contained in a larger retained subset
-    retained.sort(key=lambda r: (-r[1], r[0], r[2]))
     maximal = []
     masks = []
     for rss, s, combo in retained:
@@ -520,10 +521,10 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
         maximal.append((rss, s, combo))
     maximal.sort(key=lambda r: (r[0], r[1], r[2]))
     results = []
-    for rss, s, combo in maximal:
-        members = [cand[i] for i in combo]
-        pg, _ = _member_pvalues(m, y, members, cfg, q_pool)
-        results.append(_build_result(m, y, members, pg, cfg, q_pool, trace=[]))
+    for _, _, combo in maximal:
+        pos = list(combo)
+        pg = _member_pvalues(fit, pos, q_pool)
+        results.append(_build_result(m, fit, pos, pg, q_pool, trace=[]))
     return ApproximationSet(results, ["all-subset"] * len(results))
 
 

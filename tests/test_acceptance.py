@@ -73,9 +73,9 @@ def test_criterion_1_pg_equals_beta_tail():
     """1 - (1 - pf)^N must match the Beta(1, N) distribution function.
 
     The two routes share no code: one goes through expm1/log1p, the other
-    through the continued-fraction incomplete-Beta evaluator.  Agreement to
-    1e-12 absolute over random (n, k, q, ratio) tuples exercises both the
-    stepwise count N = q - k and the membership count N = q - k + 1.
+    through scipy's incomplete Beta.  Agreement to 1e-12 absolute over random
+    (n, k, q, ratio) tuples exercises both the stepwise count N = q - k and
+    the membership count N = q - k + 1.
     """
     rng = np.random.default_rng(1)
     t0 = time.perf_counter()

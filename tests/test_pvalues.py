@@ -42,6 +42,22 @@ FROZEN_BETA = [
     (34.0, 0.5, 0.01, 9.6874337962119295265e-70),
     (250.0, 0.5, 0.2, 7.2106733147225904936e-177),
     (100.0, 0.5, 0.05, 4.5594005266883307729e-132),
+    # large shapes (n up to 4e5) with tails from 1e-3 down to 1e-200
+    (2000.0, 0.5, 0.9972964314, 1.0000000148548417128e-3),
+    (2000.0, 0.5, 0.989597811, 1.0000000881584781703e-10),
+    (2000.0, 0.5, 0.9454415927, 9.9999995419466505532e-51),
+    (2000.0, 0.5, 0.8927043544, 9.9999990672641041246e-101),
+    (2000.0, 0.5, 0.795751213, 1.000000068033783573e-200),
+    (20000.0, 0.5, 0.9997293441, 1.0000000844147853719e-3),
+    (20000.0, 0.5, 0.9989549969, 9.9999960797654911526e-11),
+    (20000.0, 0.5, 0.9944060161, 9.9999943376547836127e-51),
+    (20000.0, 0.5, 0.988715435, 9.9999975792743070528e-101),
+    (20000.0, 0.5, 0.977414604, 9.999990583364355821e-201),
+    (200000.0, 0.5, 0.9999729314, 9.9999630611449202634e-4),
+    (200000.0, 0.5, 0.9998954517, 1.0000012373792425985e-10),
+    (200000.0, 0.5, 0.9994391947, 9.9999233801906629283e-51),
+    (200000.0, 0.5, 0.9988657846, 1.0000029998674479159e-100),
+    (200000.0, 0.5, 0.9977181977, 1.0000058289900570978e-200),
 ]
 
 
@@ -49,7 +65,7 @@ class TestBetaCdf:
     def test_frozen_values(self):
         for a, b, x, want in FROZEN_BETA:
             got = beta_cdf(a, b, x)
-            assert got == pytest.approx(want, rel=1e-12), (a, b, x)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (a, b, x)
 
     def test_endpoints(self):
         assert beta_cdf(3.0, 0.5, 0.0) == 0.0
@@ -91,7 +107,7 @@ class TestBetaCdf:
             if want == 0.0:
                 assert got == 0.0
             else:
-                assert got == pytest.approx(want, rel=5e-12), (a, b, x)
+                assert got == pytest.approx(want, rel=5e-12, abs=0.0), (a, b, x)
 
     def test_against_mpmath_general_b(self):
         rng = np.random.default_rng(6502)
@@ -101,7 +117,7 @@ class TestBetaCdf:
             x = float(rng.uniform(0.01, 0.99))
             want = float(mp_beta_cdf(a, b, x))
             got = beta_cdf(a, b, x)
-            assert got == pytest.approx(want, rel=5e-12), (a, b, x)
+            assert got == pytest.approx(want, rel=5e-12, abs=0.0), (a, b, x)
 
     def test_deep_tail_not_flushed_to_zero(self):
         # the selling point: P-values far below float-min of the naive route

@@ -1,10 +1,11 @@
 """Tests for the selection procedures against a brute-force reference.
 
 The reference implementation below recomputes everything from first
-principles with dense least squares (`np.linalg.lstsq`) and scipy's
-regularized incomplete beta — deliberately not the package's own
-incremental orthogonalization or continued-fraction kernel — so agreement
-is evidence rather than tautology.
+principles with dense least squares (`np.linalg.lstsq`) on the n rows —
+deliberately not the package's own incremental orthogonalization or its
+QR-based refits — so agreement is evidence rather than tautology.  Both use
+scipy's regularized incomplete beta, which `test_pvalues.py` checks against
+mpmath.
 """
 
 import itertools
@@ -260,6 +261,62 @@ class TestF1st:
         r = f1st(DataMatrix(X), y)
         assert sorted(r.selected) == [1, 6]
         assert r.rss <= 1e-12 * float(y @ y)
+        # the refits that test the intercept and the members leave rss at the
+        # rounding level of y; a ratio of two such rss values is noise
+        for seed in range(12):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((30, 3))
+            m = DataMatrix(X)
+            for shift in (0.0, 1e6):
+                y = shift + 3.0 * X[:, 1]
+                results = [f1st(m, y), *all_subset_select(m, y)]
+                assert [r.selected for r in results] == [[1], [1]], (seed, shift)
+                for r in results:
+                    assert r.pg[0] < 1e-100, (seed, shift)
+                    if shift == 0.0:
+                        assert r.intercept_pg == 1.0, seed
+
+    def test_shifting_y_changes_nothing(self):
+        # with an intercept, adding a constant to y leaves every fit's rss and
+        # P-values as they were; a mean of 1e6 sd must not read as an exact fit
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((50, 4))
+            m = DataMatrix(X)
+            y = 0.5 * X[:, 0] + 0.1 * rng.standard_normal(50)
+            for f in (f1st, all_subset_select, f2st, f3st):
+                base, shifted = f(m, y), f(m, 1e6 + y)
+                if f is f1st:
+                    base, shifted = [base], [shifted]
+                assert [r.selected for r in shifted] == [r.selected for r in base] == [[0]]
+                for a, b in zip(base, shifted):
+                    assert b.rss == pytest.approx(a.rss, rel=1e-8)
+                    assert b.pg == pytest.approx(a.pg, rel=1e-6)
+
+    def test_coefficients_as_accurate_as_lstsq_at_condition_1e10(self):
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(0)
+        n = 50
+        z, w, v, u = rng.standard_normal((4, n))
+        # an offset column nearly parallel to the intercept, a second column
+        # 1e-5 of its norm away from it, and a column on a 1e-6 scale
+        x1 = 1e4 + z
+        X = np.column_stack([x1, x1 + 0.1 * w, 1e-6 * v])
+        y = 1.0 + z + w + v + 0.01 * u
+        r = f1st(DataMatrix(X), y)
+        assert sorted(r.selected) == [0, 1, 2]
+        A = np.column_stack([np.ones(n), X[:, r.selected]])
+        assert 1e9 < np.linalg.cond(A) < 1e11
+        with mp.workdps(50):
+            truth = mp.qr_solve(mp.matrix(A.tolist()), mp.matrix(y.tolist()))[0]
+
+            def err(beta):
+                diff = mp.matrix([float(b) for b in beta]) - truth
+                return float(mp.norm(diff) / mp.norm(truth))
+
+            got = err([r.intercept_coefficient, *r.coefficients])
+            ref = err(np.linalg.lstsq(A, y, rcond=None)[0])
+        assert got <= 2.0 * ref, (got, ref)
 
     def test_skip_refinement_when_disabled(self):
         rng = np.random.default_rng(61)
