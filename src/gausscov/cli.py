@@ -2,14 +2,19 @@
 
 Every user-facing index is 1-based.  Exit codes: 0 on success (an empty
 selection is a success), 2 on I/O or parse failures, 3 on configuration
-errors.  GAUSSCOV_THREADS caps worker pools; --seed defaults to 1729 so
-unseeded runs are still reproducible.
+errors.  GAUSSCOV_THREADS caps worker pools.  Selection draws no random
+numbers; the commands that do (graph --random, featurize --corr-pairs,
+simulate) take --seed, which defaults to 1729 so unseeded runs are still
+reproducible.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
+
+import numpy as np
 
 from .errors import (
     AllColumnsConstant,
@@ -224,8 +229,6 @@ def cmd_graph(args):
     t0 = time.perf_counter()
     g = fgr1st(m, _selection_config(args), rule=args.rule)
     seconds = time.perf_counter() - t0
-    import os
-
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
     graph_to_csv(g, os.path.join(outdir, "edges_directed.csv"))
@@ -275,10 +278,11 @@ def _parse_lags(text):
 
 
 def _write_design_csv(path, y_name, y, names_iter_blocks):
-    """Stream (names, block) column chunks to CSV with the response first."""
-    import numpy as np
+    """Write the response and then every (names, block) column chunk to CSV.
 
-    first = True
+    All blocks are gathered before the first row is written; the file is not
+    streamed.
+    """
     buf_names = [y_name]
     cols = [np.asarray(y)]
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -418,7 +422,6 @@ def build_parser():
     ps.add_argument("--output", choices=["text", "json", "csv"], default="text")
     ps.add_argument("--trace", action="store_true",
                     help="include the stepwise trace in JSON output")
-    ps.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_selection_flags(ps)
     add_common_io(ps)
     ps.set_defaults(func=cmd_select)

@@ -9,13 +9,13 @@ the matrix once: a column entering the basis as unit vector u, with residual
 coefficient c, costs one product X^T u, which updates X^T r to X^T r - c X^T u
 and the norms to norms - (X^T u)^2.  Scans score from the kept vectors in O(q).
 
-Every step is recorded as a ``Step`` when asked, so that a fit with the same
-start can repeat it by ``replay`` in O(n + q), without touching the matrix.
+``extend`` and ``extend_intercept`` are the only ways a fit grows.  A fit's
+arrays are replaced, never written in place, so ``fork`` copies a state in
+O(k) by sharing them, and a saved fork stays exactly the fit it was.
 """
 
 import copy
 import math
-from collections import namedtuple
 
 import numpy as np
 
@@ -30,10 +30,8 @@ __all__ = [
     "COLLINEARITY_TOL",
     "DataMatrix",
     "ResidualState",
-    "Step",
     "extend",
     "extend_intercept",
-    "replay",
     "scan_best",
     "standardize",
 ]
@@ -140,12 +138,6 @@ def standardize(m):
     )
 
 
-# One covariate entering a fit: column j, its unit vector u orthogonal to the
-# earlier basis, the residual's coefficient c on u, and X^T u (None while the
-# fit has no scan cache).
-Step = namedtuple("Step", ["j", "u", "c", "xtu"])
-
-
 class ResidualState:
     """Mutable state of one growing least-squares fit.
 
@@ -155,18 +147,18 @@ class ResidualState:
 
     Once ``scan_best`` has run, the state also keeps X^T r and the columns'
     squared norms orthogonal to the basis, for the matrix it scanned; each
-    later extension updates both from its one product X^T u.  When ``steps``
-    is a list, every covariate extension appends its ``Step`` there.
+    later extension updates both from its one product X^T u.
 
-    Arrays are replaced, never written in place, so ``fork`` can share them.
+    Arrays are replaced, never written in place, so a ``fork`` shares them with
+    the state it came from, and extending either leaves the other unchanged.
     A state belongs to one thread; it is not safe to share while being
     extended.
     """
 
-    __slots__ = ("n", "selected", "residual", "rss", "basis", "steps",
+    __slots__ = ("n", "selected", "residual", "rss", "basis",
                  "_cache_for", "_xtr", "_resid_norm2")
 
-    def __init__(self, y, record=False):
+    def __init__(self, y):
         y = np.asarray(y, dtype=np.float64).ravel()
         if y.size < 1:
             raise DomainError("response is empty")
@@ -177,7 +169,6 @@ class ResidualState:
         self.residual = y.copy()
         self.rss = float(y @ y)
         self.basis = []
-        self.steps = [] if record else None
         self._cache_for = None
         self._xtr = None
         self._resid_norm2 = None
@@ -192,8 +183,6 @@ class ResidualState:
         other = copy.copy(self)
         other.selected = list(self.selected)
         other.basis = list(self.basis)
-        if self.steps is not None:
-            other.steps = list(self.steps)
         return other
 
 
@@ -206,15 +195,6 @@ def _orthogonal_component(basis, v):
     return u
 
 
-def _apply(state, u, c, xtu):
-    state.residual = state.residual - c * u
-    state.rss = float(state.residual @ state.residual)
-    state.basis.append(u)
-    if xtu is not None:
-        state._xtr = state._xtr - c * xtu
-        state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
-
-
 def _extend_vector(state, v, orig_norm2):
     u = _orthogonal_component(state.basis, v)
     u2 = float(u @ u)
@@ -222,9 +202,13 @@ def _extend_vector(state, v, orig_norm2):
         raise CollinearColumn("vector is numerically collinear with the current basis")
     u /= math.sqrt(u2)
     c = float(u @ state.residual)
-    xtu = None if state._cache_for is None else state._cache_for.values.T @ u
-    _apply(state, u, c, xtu)
-    return u, c, xtu
+    state.residual = state.residual - c * u
+    state.rss = float(state.residual @ state.residual)
+    state.basis.append(u)
+    if state._cache_for is not None:
+        xtu = state._cache_for.values.T @ u
+        state._xtr = state._xtr - c * xtu
+        state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
 
 
 def extend_intercept(state):
@@ -250,28 +234,12 @@ def extend(state, m, j):
         raise DomainError(f"column {j} is already selected")
     x = m.col(j)
     try:
-        u, c, xtu = _extend_vector(state, x, float(x @ x))
+        _extend_vector(state, x, float(x @ x))
     except CollinearColumn:
         raise CollinearColumn(
             f"column {j} is numerically collinear with the current basis"
         ) from None
     state.selected.append(j)
-    if state.steps is not None:
-        state.steps.append(Step(j, u, c, xtu))
-    return state
-
-
-def replay(state, step):
-    """Repeat a recorded ``Step`` in O(n + q), without reading the matrix.
-
-    The result is bit-for-bit the state ``extend`` would give, provided
-    ``state`` is bit-for-bit the state the step was recorded on: the same fit
-    of the same response, with the scan cache present exactly when it was.
-    """
-    _apply(state, step.u, step.c, step.xtu)
-    state.selected.append(step.j)
-    if state.steps is not None:
-        state.steps.append(step)
     return state
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import pvalues
 from .errors import DomainError, NoCandidates, TooManyColumns
-from .matrix import ResidualState, extend, extend_intercept, replay, scan_best
+from .matrix import ResidualState, extend, extend_intercept, scan_best
 
 __all__ = [
     "ApproximationSet",
@@ -236,7 +236,13 @@ class _Fit:
         idx += [i + self.off for i in pos]
         r = self.r[:, idx]
         beta = np.linalg.lstsq(r, self.c, rcond=None)[0]
-        d = self.c - r @ beta
+        # the rss comes from c's component outside span(R[:, idx]), the last
+        # diagonal entry of the R factor of [R[:, idx] | c] (none when R[:, idx]
+        # is square), not from |c - R beta|, whose error grows with the
+        # condition number.  Every subset solved here has full column rank:
+        # stepwise rejects collinear columns and _combo_stats marks singular
+        # subsets invalid.
+        d = np.linalg.qr(np.column_stack([r, self.c]), mode="r")[len(idx):, -1]
         return self.rss0 + float(d @ d), beta
 
     def pf(self, ctx, rss, rss_wo):
@@ -357,25 +363,25 @@ def _member_pvalues(fit, pos, q_pool):
 # ---------------------------------------------------------------------------
 
 class _RunLog:
-    """The steps of one ``f1st`` run, kept so that another run can resume from them.
+    """The states of one ``f1st`` run, kept so that another run can resume from them.
 
-    ``start`` is the state after the intercept with the scan cache built, taken
-    just before the first covariate step; ``steps`` pairs each accepted step's
-    scanned rss with its ``Step``.  A run given ``parent`` starts from the
-    parent's ``start`` and replays the parent's steps up to the first one whose
+    ``states[0]`` is the state after the intercept with the scan cache built;
+    each later entry pairs an accepted step's scanned rss with a fork of the
+    state after that step.  A run given ``parent`` starts from the parent's
+    ``states[0]`` and takes the parent's states up to the first step onto a
     column it excludes.  That is exact when the parent excluded a subset of
     what this run excludes: the parent's choices up to there never fell on a
     column this run excludes, so its scans would have returned the same
-    choices from the same states.
+    choices from the same states, and ``extend`` would have built the very
+    states the parent kept.
     """
 
-    __slots__ = ("parent", "excluded", "start", "steps")
+    __slots__ = ("parent", "excluded", "states")
 
     def __init__(self, parent=None):
         self.parent = parent
         self.excluded = None
-        self.start = None
-        self.steps = []
+        self.states = []
 
 
 def f1st(m, y, cfg=None, exclude=(), *, _log=None):
@@ -416,17 +422,17 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None):
         excl_mask[list(excl)] = True
     parent = None if _log is None else _log.parent
     if parent is not None and parent.excluded <= excl:
-        state = parent.start.fork()
-        recorded = itertools.takewhile(lambda rec: not excl_mask[rec[1].j], parent.steps)
-        _log.start = parent.start
+        state = parent.states[0].fork()
+        resumed = itertools.takewhile(lambda rec: not excl_mask[rec[1].selected[-1]],
+                                      parent.states[1:])
+        _log.states = [parent.states[0]]
     else:
-        state = ResidualState(y, record=_log is not None)
+        state = ResidualState(y)
         if cfg.intercept:
             extend_intercept(state)
-        recorded = iter(())
+        resumed = iter(())
     rss_floor = state.rss * _PERFECT_FIT_REL
     trace = []
-    scanned = []  # rss each accepted step's scan returned
     while True:
         k_sel = len(state.selected)
         if k_sel >= q_pool:
@@ -436,11 +442,11 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None):
             break
         if state.rss <= rss_floor:
             break
-        # a recorded step stands in for the scan that would choose it
-        rec = next(recorded, None)
+        # a state the parent kept stands in for the scan and the extension
+        rec = next(resumed, None)
         if rec is not None:
-            rss_cand, step = rec
-            j = step.j
+            rss_cand, after = rec
+            j = after.selected[-1]
         else:
             try:
                 j, rss_cand = scan_best(state, m, excl_mask)
@@ -450,20 +456,20 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None):
         p_f = pvalues.pf_from_rss_ratio(ctx, rss_cand, state.rss)
         p_g = pvalues.pg_stepwise(ctx, p_f)
         if k_sel < cfg.kmn or p_g < cfg.p0:
-            if _log is not None and _log.start is None:
-                _log.start = state.fork()
-            scanned.append(rss_cand)
+            if _log is not None and not _log.states:
+                _log.states.append(state.fork())
             if rec is not None:
-                replay(state, step)
+                state = after.fork()
             else:
                 extend(state, m, j)
+            if _log is not None:
+                _log.states.append((rss_cand, state.fork()))
             trace.append(TraceStep(j, p_f, p_g, state.rss, forced=p_g >= cfg.p0))
         else:
             break
     if _log is not None:
         _log.parent = None
         _log.excluded = frozenset(excl)
-        _log.steps = list(zip(scanned, state.steps))
     sel = list(state.selected)
     fit = _Fit(m, y, sel, cfg.intercept)
     if sel and len(sel) <= cfg.max_subset_refine:
@@ -575,10 +581,10 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     exclusion set, results by selected set; the set is ordered by rss.
 
     A branch does not start from scratch: it resumes from the run it branched
-    from (the root, when exclusions do not accumulate), replaying that run's
-    steps up to the one that chose a column the branch excludes, and only
-    recomputes their P-values for its smaller competitor pool.  The output is
-    the same as that of running every branch from scratch.
+    from (the root, when exclusions do not accumulate), taking forks of that
+    run's kept states up to the step that chose a column the branch excludes,
+    and only recomputes their P-values for its smaller competitor pool.  The
+    output is the same as that of running every branch from scratch.
     """
     if cfg is None:
         cfg = SelectionConfig()
@@ -606,7 +612,7 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
                 if key not in found:
                     dropped = ", ".join(m.names[j] for j in sorted(bex - base))
                     found[key] = (r2, f"depth {depth}, excluding {dropped}")
-                # only runs that later branches resume from keep their steps
+                # only runs that later branches resume from keep their states
                 keep = accumulate_exclusions and depth < cfg.m
                 nxt.append((r2, bex, blog if keep else None))
         frontier = nxt

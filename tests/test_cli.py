@@ -146,8 +146,10 @@ class TestExitCodes:
         assert code == 2
 
     def test_unknown_flag_is_config_error(self, capsys):
-        code, _, _ = run(capsys, "select", TINY, "--frobnicate")
-        assert code == 3
+        # selection draws no random numbers, so select takes no --seed
+        for flag in (["--frobnicate"], ["--seed", "3"]):
+            code, _, _ = run(capsys, "select", TINY, *flag)
+            assert code == 3, flag
 
     def test_bad_method_is_config_error(self, capsys):
         code, _, _ = run(capsys, "select", TINY, "--method", "lasso")

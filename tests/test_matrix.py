@@ -149,6 +149,29 @@ class TestResidualState:
         with pytest.raises(CollinearColumn):
             extend(st, m, 1)
 
+    def test_fork_leaves_the_original_unchanged(self):
+        # f3st resumes branches from forks of states another run keeps
+        rng = np.random.default_rng(503)
+        X = rng.standard_normal((30, 12))
+        m = DataMatrix(X)
+        st = ResidualState(rng.standard_normal(30))
+        extend_intercept(st)
+        scan_best(st, m)
+        extend(st, m, 4)
+
+        def snapshot(s):
+            return (list(s.selected), len(s.basis), s.residual.tobytes(), s.rss,
+                    s._xtr.tobytes(), s._resid_norm2.tobytes())
+
+        before = snapshot(st)
+        other = st.fork()
+        for _ in range(3):
+            j, _ = scan_best(other, m)
+            extend(other, m, j)
+        assert len(other.selected) == 4
+        assert snapshot(st) == before
+        assert snapshot(other) != before
+
     def test_constant_column_collinear_with_intercept(self):
         X = np.column_stack([np.full(15, 3.0), np.arange(15.0)])
         m = DataMatrix(X)
@@ -263,7 +286,7 @@ class TestScanBest:
             assert j == scan_best_first(m1, y)
 
     def test_scan_after_extends_uses_fresh_residuals(self):
-        # the cached column norms are downdated in place; make sure the
+        # the cached column norms are downdated at each extension; make sure the
         # second and third picks agree with a from-scratch computation
         rng = np.random.default_rng(871)
         X = rng.standard_normal((50, 15))

@@ -318,6 +318,32 @@ class TestF1st:
             ref = err(np.linalg.lstsq(A, y, rcond=None)[0])
         assert got <= 2.0 * ref, (got, ref)
 
+    def test_rss_and_pvalues_independent_of_column_order_at_condition_1e10(self):
+        # f1st fits the columns in selection order, all_subset_select in index
+        # order; at condition 1.5e10 both must still give the 50-digit rss
+        mp = pytest.importorskip("mpmath")
+        n = 50
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            z, w, v, u = rng.standard_normal((4, n))
+            x1 = 1e4 + z
+            X = np.column_stack([x1, x1 + 0.1 * w, 1e-6 * v])
+            y = 1.0 + z + w + v + 0.01 * u
+            stepwise = f1st(DataMatrix(X), y)
+            subsets = [r for r in all_subset_select(DataMatrix(X), y)
+                       if sorted(r.selected) == [0, 1, 2]]
+            assert stepwise.selected == [2, 1, 0], seed
+            assert len(subsets) == 1 and subsets[0].selected == [0, 1, 2], seed
+            with mp.workdps(50):
+                A = mp.matrix(np.column_stack([np.ones(n), X]).tolist())
+                _, res = mp.qr_solve(A, mp.matrix(y.tolist()))
+                truth = float(res ** 2)
+            for r in (stepwise, subsets[0]):
+                assert r.rss == pytest.approx(truth, rel=1e-9, abs=0.0), seed
+            pg = dict(zip(subsets[0].selected, subsets[0].pg))
+            assert stepwise.pg == pytest.approx([pg[j] for j in stepwise.selected],
+                                                rel=1e-9, abs=0.0), seed
+
     def test_skip_refinement_when_disabled(self):
         rng = np.random.default_rng(61)
         X, y = make_instance(rng, 60, 10, [(0, 5.0), (4, 4.0)])
