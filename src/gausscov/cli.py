@@ -9,6 +9,7 @@ reproducible.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,7 +24,6 @@ from .errors import (
     GausscovError,
     GenerationFailure,
     InsufficientLength,
-    ParseError,
     TooManyColumns,
 )
 from .featurize import (
@@ -174,13 +174,7 @@ def cmd_select(args):
     else:
         payload = dict(meta)
         payload["command"] = "select"
-        payload["config"] = {
-            "p0": cfg.p0,
-            "kmn": cfg.kmn,
-            "max_subset_refine": cfg.max_subset_refine,
-            "intercept": cfg.intercept,
-            "m": cfg.m,
-        }
+        payload["config"] = dataclasses.asdict(cfg)
         payload.update(aset.to_dict(include_trace=args.trace))
         if not args.no_timing:
             payload["seconds"] = seconds
@@ -281,7 +275,7 @@ def _write_design_csv(path, y_name, y, names_iter_blocks):
     """Write the response and then every (names, block) column chunk to CSV.
 
     All blocks are gathered before the first row is written; the file is not
-    streamed.
+    streamed.  Returns the feature names written, in column order.
     """
     buf_names = [y_name]
     cols = [np.asarray(y)]
@@ -294,7 +288,7 @@ def _write_design_csv(path, y_name, y, names_iter_blocks):
         rows = len(cols[0])
         for i in range(rows):
             fh.write(",".join(_fmt_float(col[i]) for col in cols) + "\n")
-    return len(buf_names) - 1
+    return buf_names[1:]
 
 
 def cmd_featurize(args):
@@ -322,40 +316,27 @@ def cmd_featurize(args):
         return 0
     if args.out is None:
         raise _ConfigError("featurize needs --out for design construction")
-    name_map = []
+    resp = args.response_var if args.response_var is not None else _default_response(m0)
     if args.lags is not None:
         lags = _parse_lags(args.lags)
-        resp = args.response_var if args.response_var is not None else _default_response(m0)
         r_idx = resolve_column(m0, resp)
         resp_name = m0.names[r_idx]
         design, y = make_lags(m0.values, lags, response=r_idx, names=m0.names)
-        q = _write_design_csv(args.out, resp_name, y,
-                              [(design.names, design.values)])
-        name_map = design.names
+        blocks = [(design.names, design.values)]
     elif args.trig is not None:
-        resp = args.response_var if args.response_var is not None else _default_response(m0)
         y, _, resp_name = split_response(m0, resp)
         design = make_trig(m0.n, args.trig)
-        q = _write_design_csv(args.out, resp_name, y,
-                              [(design.names, design.values)])
-        name_map = design.names
+        blocks = [(design.names, design.values)]
     else:
-        resp = args.response_var if args.response_var is not None else _default_response(m0)
         y, rest, resp_name = split_response(m0, resp)
         spec = InteractionSpec(max_degree=args.interactions, dedup=not args.no_dedup)
         blocks = interaction_columns(rest, spec)
-
-        def collecting():
-            for names, block in blocks:
-                name_map.extend(names)
-                yield names, block
-
-        q = _write_design_csv(args.out, resp_name, y, collecting())
+    name_map = _write_design_csv(args.out, resp_name, y, blocks)
     if args.namemap:
         with open(args.namemap, "w", encoding="utf-8") as fh:
             for i, name in enumerate(name_map, start=1):
                 fh.write(f"{i}\t{name}\n")
-    print(f"wrote {q} feature columns to {args.out}")
+    print(f"wrote {len(name_map)} feature columns to {args.out}")
     return 0
 
 
@@ -371,9 +352,6 @@ def cmd_simulate(args):
         n, q = design.n, design.q
     else:
         n, q = args.n, args.q
-    method = args.method
-    if method not in ("f1st", "f3st"):
-        raise _ConfigError("simulate supports --method f1st or f3st")
     spec = SimSpec(
         n=n,
         q=q,
@@ -382,7 +360,7 @@ def cmd_simulate(args):
         sigma=args.sigma,
         reps=args.reps,
         seed=args.seed,
-        method=method,
+        method=args.method,
         selection=_selection_config(args),
     )
     report = run_sim(spec, design=design)
@@ -488,13 +466,8 @@ def main(argv=None):
             parser.print_help()
             return 3
         return args.func(args)
-    except _ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (
+        _ConfigError,
         DomainError,
         TooManyColumns,
         ColumnBudgetExceeded,
@@ -504,10 +477,8 @@ def main(argv=None):
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except GausscovError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    # parse failures and every other package error
+    except (GausscovError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

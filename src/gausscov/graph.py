@@ -63,7 +63,7 @@ class GraphResult:
         }
 
 
-def _combine(p, directed, rule):
+def _combine(directed, rule):
     seen = {}
     for a, b, _ in directed:
         key = (min(a, b), max(a, b))
@@ -99,7 +99,7 @@ def fgr1st(m, cfg=None, rule="or"):
         names=list(m.names),
         directed=directed,
         rule=rule,
-        undirected=_combine(m.q, directed, rule),
+        undirected=_combine(directed, rule),
     )
 
 

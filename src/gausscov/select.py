@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from . import pvalues
 from .errors import DomainError, NoCandidates, TooManyColumns
@@ -201,8 +202,13 @@ class _Fit:
     With A = QR, c = Q^T y and rss0 = |y - Qc|^2, the least-squares fit on any
     set S of A's columns has the coefficients of min_b |c - R[:, S] b| and rss
     rss0 plus that minimum, so subset fits are (k+1)-row problems that never
-    touch the n rows again.  Covariates are addressed by their positions in
-    ``cols``; the intercept, when fitted, is A's first column.
+    touch the n rows again.  A reported result is read by ``terms`` from one
+    small QR per term: the QR of [R[:, S] | c] gives the rss and, by
+    back-substitution, the coefficients, and the same QR with one term left
+    out gives that term's drop-one rss.  The subset search scores many
+    subsets at once from the covariate Gram system instead (``_combo_stats``).
+    Covariates are addressed by their positions in ``cols``; the intercept,
+    when fitted, is A's first column and term 0.
     """
 
     def __init__(self, m, y, cols, intercept):
@@ -227,23 +233,30 @@ class _Fit:
         self.tss = self.rss0 + float(c @ c)
         self.floor = _PERFECT_FIT_REL * self.tss
 
-    def solve(self, pos, intercept=True):
-        """(rss, coefficients) of the fit on covariate positions ``pos``.
+    def terms(self, pos):
+        """(rss, coefficients, drop-one rss) of the fit on covariate positions ``pos``.
 
-        The intercept, when fitted, comes first unless ``intercept`` is False.
+        The terms are the intercept, when fitted, followed by ``pos``; entry t
+        of the coefficients and of the drop-one rss list belongs to term t.
         """
-        idx = [0] if self.off and intercept else []
-        idx += [i + self.off for i in pos]
-        r = self.r[:, idx]
-        beta = np.linalg.lstsq(r, self.c, rcond=None)[0]
+        idx = list(range(self.off)) + [i + self.off for i in pos]
+        rss, f = self._rss(idx)
+        s = len(idx)
+        beta = solve_triangular(f[:s, :s], f[:s, -1])
+        return rss, beta, [self._rss(idx[:t] + idx[t + 1:])[0] for t in range(s)]
+
+    def _rss(self, idx):
+        """(rss, R factor of [R[:, idx] | c]) of the fit on A's columns ``idx``."""
         # the rss comes from c's component outside span(R[:, idx]), the last
         # diagonal entry of the R factor of [R[:, idx] | c] (none when R[:, idx]
         # is square), not from |c - R beta|, whose error grows with the
-        # condition number.  Every subset solved here has full column rank:
+        # condition number; the leading block of the same factor gives beta by
+        # back-substitution.  Every subset fitted here has full column rank:
         # stepwise rejects collinear columns and _combo_stats marks singular
         # subsets invalid.
-        d = np.linalg.qr(np.column_stack([r, self.c]), mode="r")[len(idx):, -1]
-        return self.rss0 + float(d @ d), beta
+        f = np.linalg.qr(np.column_stack([self.r[:, idx], self.c]), mode="r")
+        d = f[len(idx):, -1]
+        return self.rss0 + float(d @ d), f
 
     def pf(self, ctx, rss, rss_wo):
         """P_F of a term whose removal leaves ``rss_wo``; 1.0 when that fit is already exact."""
@@ -252,14 +265,18 @@ class _Fit:
         return pvalues.pf_from_rss_ratio(ctx, rss, rss_wo)
 
 
-def _build_result(m, fit, pos, pg, q_pool, trace):
+def _build_result(m, fit, pos, q_pool, trace=(), pg=None):
     """Assemble a SelectionResult for covariate positions ``pos`` of ``fit``.
 
+    The member P-values are the all-subset ones unless ``pg`` gives them.
     Coefficients are reported on the original scale of the data.
     """
-    n = fit.n
     sel = [fit.cols[i] for i in pos]
-    rss, beta = fit.solve(pos)
+    rss, beta, rss_drop = fit.terms(pos)
+    # a fit with no term at all tests nothing
+    ctx = pvalues.PvalueContext(fit.n, len(beta), q_pool - len(sel)) if len(beta) else None
+    if pg is None:
+        pg = [pvalues.pg_all_subset(ctx, fit.pf(ctx, rss, r)) for r in rss_drop[fit.off:]]
     # undo recorded rescaling: stored = (raw - offset)/scale
     coefs = []
     shift_total = 0.0
@@ -271,9 +288,7 @@ def _build_result(m, fit, pos, pg, q_pool, trace):
     intercept_pg = None
     if fit.off:
         intercept_coef = float(beta[0]) - shift_total
-        rss_wo, _ = fit.solve(pos, intercept=False)
-        ctx = pvalues.PvalueContext(n, len(sel) + 1, q_pool - len(sel))
-        intercept_pg = fit.pf(ctx, rss, rss_wo)
+        intercept_pg = fit.pf(ctx, rss, rss_drop[0])
     return SelectionResult(
         selected=sel,
         pg=list(pg),
@@ -282,7 +297,7 @@ def _build_result(m, fit, pos, pg, q_pool, trace):
         intercept_coefficient=intercept_coef,
         intercept_pg=intercept_pg,
         trace=list(trace),
-        n=n,
+        n=fit.n,
         q_pool=q_pool,
         names=[m.names[j] for j in sel],
     )
@@ -344,18 +359,6 @@ def _passing_subsets(fit, p0, q_pool):
             keep = ok & (rss < x_thr * rss_minus.min(axis=1))
             for b in np.flatnonzero(keep):
                 yield float(rss[b]), s, tuple(chunk[b])
-
-
-def _member_pvalues(fit, pos, q_pool):
-    """Exact per-member all-subset P-values for the subset at positions ``pos``."""
-    s = len(pos)
-    rss, _ = fit.solve(pos)
-    ctx = pvalues.PvalueContext(fit.n, s + fit.off, q_pool - s)
-    out = []
-    for i in range(s):
-        rss_wo, _ = fit.solve(pos[:i] + pos[i + 1:])
-        out.append(pvalues.pg_all_subset(ctx, fit.pf(ctx, rss, rss_wo)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -473,19 +476,11 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None):
     sel = list(state.selected)
     fit = _Fit(m, y, sel, cfg.intercept)
     if sel and len(sel) <= cfg.max_subset_refine:
-        pos, pg = _refine(fit, cfg.p0, q_pool)
-    else:
-        pos, pg = list(range(len(sel))), [t.p_g for t in trace]
-    return _build_result(m, fit, pos, pg, q_pool, trace)
-
-
-def _refine(fit, p0, q_pool):
-    """Least-rss passing subset of the fit's covariates: (positions, member P-values)."""
-    best = min(_passing_subsets(fit, p0, q_pool), default=None)
-    if best is None:
-        return [], []
-    pos = list(best[2])
-    return pos, _member_pvalues(fit, pos, q_pool)
+        # the least-rss passing subset, or none
+        best = min(_passing_subsets(fit, cfg.p0, q_pool), default=(0.0, 0, ()))
+        return _build_result(m, fit, list(best[2]), q_pool, trace)
+    return _build_result(m, fit, list(range(len(sel))), q_pool, trace,
+                         pg=[t.p_g for t in trace])
 
 
 # ---------------------------------------------------------------------------
@@ -526,11 +521,7 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
         masks.append(mask)
         maximal.append((rss, s, combo))
     maximal.sort(key=lambda r: (r[0], r[1], r[2]))
-    results = []
-    for _, _, combo in maximal:
-        pos = list(combo)
-        pg = _member_pvalues(fit, pos, q_pool)
-        results.append(_build_result(m, fit, pos, pg, q_pool, trace=[]))
+    results = [_build_result(m, fit, list(combo), q_pool) for _, _, combo in maximal]
     return ApproximationSet(results, ["all-subset"] * len(results))
 
 

@@ -132,6 +132,22 @@ def ref_all_subsets(X, y, p0, intercept, exclude=()):
     return maximal
 
 
+def check_coefficients_and_intercept(r, X, y, intercept):
+    """A result's coefficients against n-row lstsq, and its intercept P-value
+    against the F-test of the fit with and without the intercept."""
+    n = len(y)
+    parts = ([np.ones((n, 1))] if intercept else []) + [X[:, r.selected]]
+    beta = np.linalg.lstsq(np.concatenate(parts, axis=1), y, rcond=None)[0]
+    assert r.coefficients == pytest.approx(list(beta[int(intercept):]), rel=1e-9)
+    if not intercept:
+        assert r.intercept_coefficient is None and r.intercept_pg is None
+        return
+    assert r.intercept_coefficient == pytest.approx(beta[0], rel=1e-9)
+    ratio = ref_rss(X, y, r.selected, True) / ref_rss(X, y, r.selected, False)
+    pf = float(sp_betainc((n - len(r.selected) - 1) / 2.0, 0.5, min(ratio, 1.0)))
+    assert r.intercept_pg == pytest.approx(pf, rel=1e-8, abs=1e-300)
+
+
 def make_instance(rng, n, q, signal):
     """Random design with `signal` = list of (column, coefficient)."""
     X = rng.standard_normal((n, q))
@@ -169,6 +185,8 @@ class TestF1st:
         dict(seed=6, n=35, q=20, signal=[(9, 1.2)], kmn=0, intercept=True, exclude=()),
         dict(seed=7, n=30, q=8, signal=[(0, 3.0), (1, 3.0), (2, 3.0)], kmn=0,
              intercept=True, exclude=()),
+        # pure noise without an intercept selects nothing: a fit with no term
+        dict(seed=8, n=40, q=10, signal=[], kmn=0, intercept=False, exclude=()),
     ])
     def test_matches_reference(self, case):
         rng = np.random.default_rng(case["seed"])
@@ -189,12 +207,11 @@ class TestF1st:
         # and the refined selection too
         want_sel = ref_refine(X, y, sel, cfg.p0, q_pool, cfg.intercept)
         assert r.selected == want_sel
-        if want_sel:
-            _, want_rss, want_pgs = ref_membership(
-                X, y, want_sel, cfg.p0, q_pool, cfg.intercept)
-            assert r.rss == pytest.approx(want_rss, rel=1e-9)
-            for got_p, want_p in zip(r.pg, want_pgs):
-                assert got_p == pytest.approx(want_p, rel=1e-8, abs=1e-300)
+        _, want_rss, want_pgs = ref_membership(X, y, want_sel, cfg.p0, q_pool, cfg.intercept)
+        assert r.rss == pytest.approx(want_rss, rel=1e-9)
+        for got_p, want_p in zip(r.pg, want_pgs):
+            assert got_p == pytest.approx(want_p, rel=1e-8, abs=1e-300)
+        check_coefficients_and_intercept(r, X, y, cfg.intercept)
 
     def test_pure_noise_selects_nothing(self):
         rng = np.random.default_rng(88)
@@ -440,6 +457,7 @@ class TestAllSubset:
             assert res.rss == pytest.approx(rss, rel=1e-9)
             for a, b in zip(res.pg, pgs):
                 assert a == pytest.approx(b, rel=1e-8, abs=1e-300)
+            check_coefficients_and_intercept(res, X, y, intercept)
 
     def test_results_ordered_by_rss(self):
         rng = np.random.default_rng(77)
