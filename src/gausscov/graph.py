@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .errors import DomainError, GenerationFailure
-from .matrix import DataMatrix, standardize
+from .matrix import DataMatrix, gram, standardize
 from .parallel import ordered_map
 from .select import SelectionConfig, f1st
 
@@ -79,6 +79,11 @@ def fgr1st(m, cfg=None, rule="or"):
     Runs ``f1st`` for every node j with node j itself excluded from candidacy.
     ``rule`` combines directions into undirected edges: "or" keeps an edge when
     either regression selected it, "and" requires both.
+
+    When there are no more columns than rows, the q x q Gram matrix of the
+    columns (centred when the intercept is fitted) is formed once, and every
+    node regression scans and extends from it without a pass over the data;
+    the reported fits are still read from the n rows.
     """
     if cfg is None:
         cfg = SelectionConfig()
@@ -87,9 +92,12 @@ def fgr1st(m, cfg=None, rule="or"):
     if m.q < 2:
         raise DomainError("graph estimation needs at least 2 columns")
 
+    # G is no larger than the data, and costs about one pass over it per node
+    g = gram(m, centred=cfg.intercept) if m.q <= m.n else None
+
     def run_node(j):
         y = np.array(m.col(j))
-        r = f1st(m, y, cfg, exclude=(j,))
+        r = f1st(m, y, cfg, exclude=(j,), _gram=None if g is None else (g, j))
         return [(j, i, pg) for i, pg in zip(r.selected, r.pg)]
 
     per_node = ordered_map(run_node, range(m.q))

@@ -1,13 +1,21 @@
 """Column store and the incremental least-squares engine under all selection code.
 
-Memory stays at O(nq) for the data plus O(nk) for the fitted basis; no n x n or
-q x q matrix is ever formed.  A fit that scans for candidates keeps two vectors
-of length q: X^T r, the products of every column with the current residual, and
+Memory stays at O(nq) for the data plus O(nk) for the fitted basis; no n x n
+matrix is ever formed.  A fit that scans for candidates keeps two vectors of
+length q: X^T r, the products of every column with the current residual, and
 each column's squared norm orthogonal to the basis.  The first scan fills both
-with one matrix product X^T [r | basis].  After that each selection step reads
-the matrix once: a column entering the basis as unit vector u, with residual
-coefficient c, costs one product X^T u, which updates X^T r to X^T r - c X^T u
-and the norms to norms - (X^T u)^2.  Scans score from the kept vectors in O(q).
+with one matrix product X^T [r | basis]; after the intercept, the norms are the
+columns' sums of squares about their means.  After that each selection step
+reads the matrix once: a column entering the basis as unit vector u, with
+residual coefficient c, costs one product X^T u, which updates X^T r to
+X^T r - c X^T u and the norms to norms - (X^T u)^2.  Scans score from the kept
+vectors in O(q).
+
+A fit seeded by ``seed_from_gram`` (the regression of one column of X on the
+others, given the q x q Gram matrix G of X) reads the matrix never: X^T r and
+the norms start as a column and the diagonal of G, and each extension takes
+X^T u from G and the kept products X^T b of the earlier basis vectors in
+O(qk).  The n-row basis and residual are built the same way in both modes.
 
 ``extend`` and ``extend_intercept`` are the only ways a fit grows.  A fit's
 arrays are replaced, never written in place, so ``fork`` copies a state in
@@ -32,7 +40,9 @@ __all__ = [
     "ResidualState",
     "extend",
     "extend_intercept",
+    "gram",
     "scan_best",
+    "seed_from_gram",
     "standardize",
 ]
 
@@ -41,6 +51,9 @@ __all__ = [
 COLLINEARITY_TOL = 1e-12
 
 _CONST_SD_TOL = 1e-13
+
+# cells per block when a column statistic needs a temporary copy of the columns
+_BLOCK_CELLS = 1 << 16
 
 
 class DataMatrix:
@@ -53,7 +66,7 @@ class DataMatrix:
     """
 
     __slots__ = ("values", "n", "q", "names", "offsets", "scales", "standardized",
-                 "_norm2")
+                 "_norm2", "_centred_norm2")
 
     def __init__(self, values, names=None, offsets=None, scales=None,
                  standardized=None, copy=True):
@@ -84,6 +97,7 @@ class DataMatrix:
             standardized = np.zeros(self.q, dtype=bool)
         self.standardized = np.asarray(standardized, bool)
         self._norm2 = None
+        self._centred_norm2 = None
 
     def col_norm2(self):
         """Squared norm of every column, computed on first use (read-only)."""
@@ -93,6 +107,20 @@ class DataMatrix:
             norm2.flags.writeable = False
             self._norm2 = norm2
         return self._norm2
+
+    def centred_norm2(self):
+        """Sum of squares of every column about its mean, computed on first use (read-only)."""
+        # as in col_norm2, racing threads compute equal arrays
+        if self._centred_norm2 is None:
+            css = np.empty(self.q)
+            step = max(1, _BLOCK_CELLS // self.n)
+            for lo in range(0, self.q, step):
+                block = self.values[:, lo:lo + step]
+                block = block - block.mean(axis=0)
+                css[lo:lo + step] = np.einsum("ij,ij->j", block, block)
+            css.flags.writeable = False
+            self._centred_norm2 = css
+        return self._centred_norm2
 
     def col(self, j):
         """Read-only view of column j."""
@@ -145,9 +173,11 @@ class ResidualState:
     norm, and an orthonormal basis of the fitted span.  The intercept, when
     fitted, occupies a basis vector but is not listed in ``selected``.
 
-    Once ``scan_best`` has run, the state also keeps X^T r and the columns'
-    squared norms orthogonal to the basis, for the matrix it scanned; each
-    later extension updates both from its one product X^T u.
+    Once ``scan_best`` has run, or ``seed_from_gram`` has, the state also keeps
+    X^T r and the columns' squared norms orthogonal to the basis, for the
+    matrix it scanned; each later extension updates both from X^T u, which it
+    takes from one product with X, or in Gram mode from the Gram matrix and the
+    kept X^T b of every basis vector b after the intercept.
 
     Arrays are replaced, never written in place, so a ``fork`` shares them with
     the state it came from, and extending either leaves the other unchanged.
@@ -156,7 +186,7 @@ class ResidualState:
     """
 
     __slots__ = ("n", "selected", "residual", "rss", "basis",
-                 "_cache_for", "_xtr", "_resid_norm2")
+                 "_cache_for", "_xtr", "_resid_norm2", "_gram", "_xtb")
 
     def __init__(self, y):
         y = np.asarray(y, dtype=np.float64).ravel()
@@ -172,6 +202,8 @@ class ResidualState:
         self._cache_for = None
         self._xtr = None
         self._resid_norm2 = None
+        self._gram = None
+        self._xtb = []
 
     @property
     def fit_size(self):
@@ -183,6 +215,7 @@ class ResidualState:
         other = copy.copy(self)
         other.selected = list(self.selected)
         other.basis = list(self.basis)
+        other._xtb = list(self._xtb)
         return other
 
 
@@ -195,20 +228,31 @@ def _orthogonal_component(basis, v):
     return u
 
 
-def _extend_vector(state, v, orig_norm2):
+def _extend_vector(state, v, orig_norm2, j=None):
     u = _orthogonal_component(state.basis, v)
     u2 = float(u @ u)
     if u2 <= COLLINEARITY_TOL * orig_norm2 or u2 == 0.0:
         raise CollinearColumn("vector is numerically collinear with the current basis")
-    u /= math.sqrt(u2)
+    norm = math.sqrt(u2)
+    u /= norm
     c = float(u @ state.residual)
     state.residual = state.residual - c * u
     state.rss = float(state.residual @ state.residual)
     state.basis.append(u)
-    if state._cache_for is not None:
+    if state._cache_for is None:
+        return
+    if state._gram is None:
         xtu = state._cache_for.values.T @ u
-        state._xtr = state._xtr - c * xtu
-        state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
+    else:
+        # v is column j, whose coefficient on each kept basis vector b is
+        # (X^T b)[j], so X^T (norm u) = G[j] - sum_b (X^T b)[j] X^T b
+        xtu = np.array(state._gram[j])
+        for xtb in state._xtb:
+            xtu -= xtb[j] * xtb
+        xtu /= norm
+        state._xtb.append(xtu)
+    state._xtr = state._xtr - c * xtu
+    state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
 
 
 def extend_intercept(state):
@@ -220,8 +264,9 @@ def extend_intercept(state):
 
 
 def extend(state, m, j):
-    """Add column j of ``m`` to the fit, updating residual, rss and basis in place.
+    """Add column j of ``m`` to the fit, updating residual, rss and basis.
 
+    The state's arrays are replaced, not written in place (see ``fork``).
     Raises CollinearColumn when the column's component orthogonal to the
     current basis falls at or below ``COLLINEARITY_TOL`` times its squared norm.
     """
@@ -234,7 +279,7 @@ def extend(state, m, j):
         raise DomainError(f"column {j} is already selected")
     x = m.col(j)
     try:
-        _extend_vector(state, x, float(x @ x))
+        _extend_vector(state, x, float(x @ x), j)
     except CollinearColumn:
         raise CollinearColumn(
             f"column {j} is numerically collinear with the current basis"
@@ -243,17 +288,57 @@ def extend(state, m, j):
     return state
 
 
+def gram(m, centred):
+    """The q x q Gram matrix X^T X of ``m``, of its columns about their means when ``centred``."""
+    x = m.values - m.values.mean(axis=0) if centred else m.values
+    return x.T @ x
+
+
+def seed_from_gram(state, m, g, j):
+    """Build the scan cache of a fit of column j of ``m`` from ``g = gram(m, centred)``.
+
+    The state's response must be column j.  It must have fitted the intercept
+    alone, with ``g`` centred, or nothing, with ``g`` not centred; an intercept
+    cannot be added after the seed.  X^T r and the residual column norms are
+    then row j and the diagonal of the symmetric ``g``, and the state extends
+    in Gram mode: no later scan or extension reads ``m``.  ``g`` is shared,
+    not copied.
+    """
+    if state.selected or state.fit_size > 1:
+        raise DomainError("a Gram seed needs a state that has fitted at most the intercept")
+    if g.shape != (m.q, m.q) or m.n != state.n:
+        raise DomainError("Gram matrix does not match the matrix and the state")
+    # every basis vector after the intercept is orthogonal to 1, so its
+    # products with the raw columns are those with the centred ones g holds
+    state._cache_for = m
+    state._gram = g
+    state._xtr = g[j]
+    state._resid_norm2 = np.diagonal(g).copy()
+
+
 def _ensure_scan_cache(state, m):
     if state._cache_for is m:
         return
     # one pass over X for X^T r and the products with every basis vector
     prod = m.values.T @ np.column_stack([state.residual] + state.basis)
-    resid = np.array(m.col_norm2())
-    for i in range(1, prod.shape[1]):
+    xtr = prod[:, 0]
+    if state.fit_size > len(state.selected):
+        # after the intercept: the norms about the column means, not
+        # col_norm2 - (X^T 1)^2 / n, which cancels when the means are large;
+        # and X^T r without r's rounding component along 1, which large means
+        # would amplify
+        xtr = xtr - float(state.basis[0] @ state.residual) * prod[:, 1]
+        resid = np.array(m.centred_norm2())
+        first = 2
+    else:
+        resid = np.array(m.col_norm2())
+        first = 1
+    for i in range(first, prod.shape[1]):
         resid -= prod[:, i] * prod[:, i]
     np.maximum(resid, 0.0, out=resid)
     state._cache_for = m
-    state._xtr = np.ascontiguousarray(prod[:, 0])
+    state._gram = None
+    state._xtr = np.ascontiguousarray(xtr)
     state._resid_norm2 = resid
 
 

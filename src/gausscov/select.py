@@ -24,7 +24,7 @@ from scipy.linalg import solve_triangular
 
 from . import pvalues
 from .errors import DomainError, NoCandidates, TooManyColumns
-from .matrix import ResidualState, extend, extend_intercept, scan_best
+from .matrix import ResidualState, extend, extend_intercept, scan_best, seed_from_gram
 
 __all__ = [
     "ApproximationSet",
@@ -387,7 +387,7 @@ class _RunLog:
         self.states = []
 
 
-def f1st(m, y, cfg=None, exclude=(), *, _log=None):
+def f1st(m, y, cfg=None, exclude=(), *, _log=None, _gram=None):
     """Stepwise Gaussian-covariate selection.
 
     Fits the intercept (when configured), then repeatedly adds the candidate
@@ -433,6 +433,9 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None):
         state = ResidualState(y)
         if cfg.intercept:
             extend_intercept(state)
+        if _gram is not None:
+            # (G, j): y is column j of m, G = gram(m, centred=cfg.intercept)
+            seed_from_gram(state, m, *_gram)
         resumed = iter(())
     rss_floor = state.rss * _PERFECT_FIT_REL
     trace = []

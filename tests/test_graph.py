@@ -29,6 +29,15 @@ def chain_data(n=400, p=5, seed=1234):
     return DataMatrix(np.column_stack(cols))
 
 
+def assert_edges_match_per_node_runs(m, cfg=None):
+    g = fgr1st(m, cfg)
+    assert g.directed
+    for j in range(m.q):
+        want = f1st(m, np.array(m.col(j)), cfg, exclude=(j,))
+        got = [(b, pg) for a, b, pg in g.directed if a == j]
+        assert got == list(zip(want.selected, want.pg))
+
+
 class TestFgr1st:
     def test_chain_graph_recovered(self):
         m = chain_data()
@@ -37,12 +46,16 @@ class TestFgr1st:
         assert set(g.undirected) == want
 
     def test_directed_edges_match_per_node_runs(self):
-        m = chain_data(n=200, p=4, seed=77)
-        g = fgr1st(m)
-        for j in range(m.q):
-            want = f1st(m, np.array(m.col(j)), exclude=(j,))
-            got = [(b, pg) for a, b, pg in g.directed if a == j]
-            assert got == list(zip(want.selected, want.pg))
+        assert_edges_match_per_node_runs(chain_data(n=200, p=4, seed=77))
+
+    def test_directed_edges_match_per_node_runs_without_intercept(self):
+        # the node runs scan from the uncentred Gram matrix
+        m = DataMatrix(2.0 + chain_data(n=200, p=6, seed=78).values)
+        assert_edges_match_per_node_runs(m, SelectionConfig(intercept=False))
+
+    def test_directed_edges_match_per_node_runs_with_more_columns_than_rows(self):
+        # no Gram matrix: the node runs scan the data
+        assert_edges_match_per_node_runs(chain_data(n=30, p=40, seed=79))
 
     def test_rule_semantics_consistent_with_directed_list(self):
         m = chain_data(n=150, p=6, seed=3)

@@ -15,6 +15,8 @@ from gausscov import (
     scan_best,
     standardize,
 )
+from gausscov import matrix
+from gausscov.matrix import gram, seed_from_gram
 
 
 def brute_rss(cols, y):
@@ -61,6 +63,13 @@ class TestDataMatrix:
         s, _ = standardize(m)
         raw = s.raw_column(1)
         assert raw == pytest.approx([10.0, 20.0])
+
+    def test_centred_norm2_over_column_blocks(self):
+        # two columns per block, the last block one column
+        rng = np.random.default_rng(11)
+        X = 1e3 + rng.standard_normal((matrix._BLOCK_CELLS // 2, 3))
+        want = ((X - X.mean(axis=0)) ** 2).sum(axis=0)
+        assert DataMatrix(X).centred_norm2() == pytest.approx(want, rel=1e-12)
 
 
 class TestStandardize:
@@ -171,6 +180,37 @@ class TestResidualState:
         assert len(other.selected) == 4
         assert snapshot(st) == before
         assert snapshot(other) != before
+
+    def test_fork_in_gram_mode_leaves_the_original_unchanged(self):
+        rng = np.random.default_rng(504)
+        m = DataMatrix(rng.standard_normal((30, 12)))
+        g = gram(m, centred=True)
+
+        def seeded():
+            s = ResidualState(m.col(0))
+            extend_intercept(s)
+            seed_from_gram(s, m, g, 0)
+            extend(s, m, 4)
+            return s
+
+        st, ref = seeded(), seeded()
+        other = st.fork()
+        extend(other, m, 5)
+        extend(other, m, 6)
+        extend(st, m, 7)
+        extend(ref, m, 7)
+        assert st._xtr.tobytes() == ref._xtr.tobytes()
+        assert st._resid_norm2.tobytes() == ref._resid_norm2.tobytes()
+
+    def test_gram_seed_needs_a_fresh_state_and_a_matching_gram(self):
+        rng = np.random.default_rng(505)
+        m = DataMatrix(rng.standard_normal((20, 5)))
+        st = ResidualState(m.col(0))
+        extend(st, m, 1)
+        with pytest.raises(DomainError):
+            seed_from_gram(st, m, gram(m, centred=False), 0)
+        with pytest.raises(DomainError):
+            seed_from_gram(ResidualState(m.col(0)), m, np.eye(4), 0)
 
     def test_constant_column_collinear_with_intercept(self):
         X = np.column_stack([np.full(15, 3.0), np.arange(15.0)])

@@ -26,6 +26,7 @@ from gausscov import (
     f3st,
     standardize,
 )
+from gausscov.matrix import gram
 
 
 # ---------------------------------------------------------------------------
@@ -76,6 +77,41 @@ def ref_stepwise(X, y, p0=0.01, kmn=0, intercept=True, exclude=()):
         else:
             break
     return sel, trace
+
+
+def centred_qr_trace_pf(X, y, sel, q_pool):
+    """Stepwise P_F along ``sel`` (intercept fitted) from QR fits of the centred data."""
+    n = len(y)
+    yc = y - y.mean()
+    Xc = X - X.mean(axis=0)
+    rss = [float(yc @ yc)]
+    for k in range(1, len(sel) + 1):
+        Q, _ = np.linalg.qr(Xc[:, sel[:k]])
+        r = yc - Q @ (Q.T @ yc)
+        rss.append(float(r @ r))
+    return [float(sp_betainc((n - k - 2) / 2.0, 0.5, rss[k + 1] / rss[k]))
+            for k in range(len(sel))]
+
+
+def node_design(seed, n=100, q=25):
+    """Correlated columns, so that regressing each on the rest takes a few steps."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, q))
+    for j in range(1, q):
+        X[:, j] += 0.7 * X[:, j - 1]
+    return X
+
+
+def node_traces(X, cfg=None, seeded=False):
+    """The trace of f1st regressing each column of X on the others."""
+    cfg = cfg or SelectionConfig()
+    m = DataMatrix(X)
+    g = gram(m, centred=cfg.intercept) if seeded else None
+    out = []
+    for j in range(m.q):
+        kw = {"_gram": (g, j)} if seeded else {}
+        out.append(f1st(m, X[:, j], cfg, exclude=(j,), **kw).trace)
+    return out
 
 
 def ref_membership(X, y, members, p0, q_pool, intercept):
@@ -310,6 +346,17 @@ class TestF1st:
                     assert b.rss == pytest.approx(a.rss, rel=1e-8)
                     assert b.pg == pytest.approx(a.pg, rel=1e-6)
 
+    def test_trace_pvalues_unchanged_by_large_column_means(self):
+        # with the intercept fitted, shifting every column by 1e4 of its sd
+        # changes no fit; the first scan must not cancel digits against the means
+        for seed in range(3):
+            X = node_design(seed)
+            shifted = X + 1e4 * X.std(axis=0, ddof=1)
+            for base, moved in zip(node_traces(X), node_traces(shifted)):
+                assert [t.index for t in moved] == [t.index for t in base]
+                assert [t.p_f for t in moved] == pytest.approx([t.p_f for t in base],
+                                                               rel=1e-9, abs=0.0)
+
     def test_coefficients_as_accurate_as_lstsq_at_condition_1e10(self):
         mp = pytest.importorskip("mpmath")
         rng = np.random.default_rng(0)
@@ -430,6 +477,50 @@ class TestF1st:
         assert d["names"] == ["x1"]
         d2 = r.to_dict(include_trace=False)
         assert "trace" not in d2
+
+
+class TestGramSeed:
+    """f1st of one column of X on the others, scanning from the Gram matrix of X."""
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_same_trace_as_scanning_the_data(self, intercept):
+        cfg = SelectionConfig(intercept=intercept)
+        for seed in range(3):
+            m, _ = standardize(DataMatrix(node_design(seed)))
+            X = np.array(m.values)
+            for plain, seeded in zip(node_traces(X, cfg), node_traces(X, cfg, seeded=True)):
+                assert [t.index for t in seeded] == [t.index for t in plain]
+                assert [t.p_f for t in seeded] == pytest.approx([t.p_f for t in plain],
+                                                                rel=1e-12, abs=0.0)
+
+    def test_trace_pvalues_match_centred_qr_with_large_column_means(self):
+        for seed in range(3):
+            X = node_design(seed)
+            shifted = X + 1e4 * X.std(axis=0, ddof=1)
+            traces = node_traces(shifted, seeded=True)
+            assert sum(map(len, traces)) > X.shape[1]
+            for j, trace in enumerate(traces):
+                sel = [t.index for t in trace]
+                want = centred_qr_trace_pf(X, X[:, j], sel, X.shape[1] - 1)
+                assert [t.p_f for t in trace] == pytest.approx(want, rel=1e-8, abs=0.0)
+
+    @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5])
+    def test_trace_pvalues_match_centred_qr_with_near_duplicate_columns(self, gap):
+        # every candidate has a twin at relative distance ``gap``; y, the last
+        # column, is regressed on the others
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            X = rng.standard_normal((100, 24))
+            X[:, 1::2] = X[:, ::2] + gap * rng.standard_normal((100, 12))
+            y = X[:, [0, 6, 11, 17]] @ [1.0, -0.8, 0.6, 0.5] + rng.standard_normal(100)
+            m = DataMatrix(np.column_stack([X, y]))
+            q = X.shape[1]
+            plain = f1st(m, y, exclude=(q,))
+            seeded = f1st(m, y, exclude=(q,), _gram=(gram(m, centred=True), q))
+            sel = [t.index for t in seeded.trace]
+            assert sel == [t.index for t in plain.trace] and len(sel) >= 3
+            want = centred_qr_trace_pf(X, y, sel, q)
+            assert [t.p_f for t in seeded.trace] == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
