@@ -2,10 +2,9 @@
 
 Every user-facing index is 1-based.  Exit codes: 0 on success (an empty
 selection is a success), 2 on I/O or parse failures, 3 on configuration
-errors.  GAUSSCOV_THREADS caps worker pools.  Selection draws no random
-numbers; the commands that do (graph --random, featurize --corr-pairs,
-simulate) take --seed, which defaults to 1729 so unseeded runs are still
-reproducible.
+errors.  Selection draws no random numbers; the commands that do (graph
+--random, featurize --corr-pairs, simulate) take --seed, which defaults to
+1729 so unseeded runs are still reproducible.
 """
 
 import argparse

@@ -3,9 +3,8 @@
 Each column of the data is regressed on all the others with ``f1st``; the
 selected covariates become the node's outgoing directed edges, each carrying
 its Gaussian P-value.  An undirected graph follows by the "or" rule (an edge
-when either direction was selected) or the stricter "and" rule.  Node runs are
-independent, so they parallelize across a worker pool while results merge in
-node order, keeping output deterministic.
+when either direction was selected) or the stricter "and" rule.  Nodes run one
+after another and their edges merge in node order.
 
 Also provides a seeded random-graph generator (geometric Gaussian graphical
 model with bounded degree) and fp/fn scoring against its ground truth.

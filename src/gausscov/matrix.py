@@ -101,7 +101,6 @@ class DataMatrix:
 
     def col_norm2(self):
         """Squared norm of every column, computed on first use (read-only)."""
-        # threads that race here compute equal arrays, so either write may win
         if self._norm2 is None:
             norm2 = np.einsum("ij,ij->j", self.values, self.values)
             norm2.flags.writeable = False
@@ -110,7 +109,6 @@ class DataMatrix:
 
     def centred_norm2(self):
         """Sum of squares of every column about its mean, computed on first use (read-only)."""
-        # as in col_norm2, racing threads compute equal arrays
         if self._centred_norm2 is None:
             css = np.empty(self.q)
             step = max(1, _BLOCK_CELLS // self.n)

@@ -1,37 +1,14 @@
-"""Worker-pool sizing and order-preserving parallel map.
+"""In-order map over the independent tasks of ``fgr1st`` and ``run_sim``.
 
-The environment variable GAUSSCOV_THREADS caps every worker pool this package
-creates.  Results are always collected in task order, so output is identical
-whatever the cap.
+Every task runs on the calling thread, in item order; the package starts no
+threads.  ``ordered_map`` is kept only as a seam: ``perfbench/tracer.py``
+wraps it at ``gausscov.graph.ordered_map`` and ``gausscov.sim.ordered_map``
+to time each node and replicate.
 """
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-from .errors import DomainError
-
-__all__ = ["thread_cap", "ordered_map"]
-
-
-def thread_cap():
-    """Worker cap from GAUSSCOV_THREADS; defaults to the CPU count."""
-    raw = os.environ.get("GAUSSCOV_THREADS", "").strip()
-    if raw:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise DomainError(f"GAUSSCOV_THREADS must be an integer, got {raw!r}") from None
-        if cap < 1:
-            raise DomainError(f"GAUSSCOV_THREADS must be >= 1, got {cap}")
-        return cap
-    return os.cpu_count() or 1
+__all__ = ["ordered_map"]
 
 
 def ordered_map(fn, items):
-    """Map ``fn`` over ``items``, in parallel when allowed, preserving order."""
-    cap = thread_cap()
-    items = list(items)
-    if cap == 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=min(cap, len(items))) as ex:
-        return list(ex.map(fn, items))
+    """``[fn(it) for it in items]``, on the calling thread."""
+    return [fn(it) for it in items]

@@ -233,17 +233,20 @@ class _Fit:
         self.tss = self.rss0 + float(c @ c)
         self.floor = _PERFECT_FIT_REL * self.tss
 
-    def terms(self, pos):
+    def terms(self, pos, drop=None):
         """(rss, coefficients, drop-one rss) of the fit on covariate positions ``pos``.
 
         The terms are the intercept, when fitted, followed by ``pos``; entry t
-        of the coefficients and of the drop-one rss list belongs to term t.
+        of the coefficients belongs to term t.  The drop-one rss list has one
+        entry per term in ``drop`` (default: every term), in that order.
         """
         idx = list(range(self.off)) + [i + self.off for i in pos]
         rss, f = self._rss(idx)
         s = len(idx)
         beta = solve_triangular(f[:s, :s], f[:s, -1])
-        return rss, beta, [self._rss(idx[:t] + idx[t + 1:])[0] for t in range(s)]
+        if drop is None:
+            drop = range(s)
+        return rss, beta, [self._rss(idx[:t] + idx[t + 1:])[0] for t in drop]
 
     def _rss(self, idx):
         """(rss, R factor of [R[:, idx] | c]) of the fit on A's columns ``idx``."""
@@ -272,7 +275,8 @@ def _build_result(m, fit, pos, q_pool, trace=(), pg=None):
     Coefficients are reported on the original scale of the data.
     """
     sel = [fit.cols[i] for i in pos]
-    rss, beta, rss_drop = fit.terms(pos)
+    # given member P-values leave only the intercept's drop-one rss to compute
+    rss, beta, rss_drop = fit.terms(pos, None if pg is None else range(fit.off))
     # a fit with no term at all tests nothing
     ctx = pvalues.PvalueContext(fit.n, len(beta), q_pool - len(sel)) if len(beta) else None
     if pg is None:

@@ -2,8 +2,8 @@
 
 Every replicate derives its own generator from the master seed through
 SeedSequence spawning of counter-based Philox streams, so runs are
-bit-reproducible on any platform and independent of how replicates are
-scheduled across workers.
+bit-reproducible on any platform and independent of the order replicates
+run in.
 """
 
 import json
@@ -151,8 +151,7 @@ def run_sim(spec, design=None):
 
     ``design`` may supply a pre-built DataMatrix (it is standardized here);
     otherwise an i.i.d. standard normal design is generated from the seed.
-    Replicates run across the worker pool; their records are ordered by
-    replicate index regardless of scheduling.
+    Replicates run in index order on the calling thread.
     """
     if design is None:
         m = _make_design(spec)

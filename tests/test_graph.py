@@ -1,10 +1,12 @@
 """Tests for dependency-graph estimation and the random graphical models."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
+import gausscov.graph as graph_mod
 from gausscov import (
     DataMatrix,
     DomainError,
@@ -18,6 +20,7 @@ from gausscov import (
     undirected_to_csv,
 )
 from gausscov.graph import _sample_from_precision
+from gausscov.parallel import ordered_map
 
 
 def chain_data(n=400, p=5, seed=1234):
@@ -85,13 +88,51 @@ class TestFgr1st:
             fgr1st(DataMatrix(np.random.default_rng(0).standard_normal((20, 1))))
 
     def test_deterministic_across_thread_counts(self, monkeypatch):
+        """GAUSSCOV_THREADS is no longer read: setting it changes no output."""
         outs = []
         for threads in ("1", "4"):
-            # a fresh matrix per run: pool threads race to fill its column norms
             m = chain_data(n=120, p=8, seed=21)
             monkeypatch.setenv("GAUSSCOV_THREADS", threads)
             outs.append(json.dumps(fgr1st(m).to_dict(), sort_keys=True))
         assert outs[0] == outs[1]
+
+    def test_nodes_run_in_order_on_the_calling_thread(self, monkeypatch):
+        seen, real = [], graph_mod.f1st
+
+        def recording(m, y, cfg=None, exclude=(), **kwargs):
+            seen.append((threading.get_ident(), exclude))
+            return real(m, y, cfg, exclude, **kwargs)
+
+        monkeypatch.setattr(graph_mod, "f1st", recording)
+        monkeypatch.setenv("GAUSSCOV_THREADS", "4")
+        fgr1st(chain_data(n=120, p=6, seed=21))
+        assert seen == [(threading.get_ident(), (j,)) for j in range(6)]
+
+    def test_node_error_reaches_the_caller_unchanged(self, monkeypatch):
+        err, real, ran = DomainError("node 3 fails"), graph_mod.f1st, []
+
+        def failing(m, y, cfg=None, exclude=(), **kwargs):
+            ran.append(exclude[0])
+            if exclude == (3,):
+                raise err
+            return real(m, y, cfg, exclude, **kwargs)
+
+        monkeypatch.setattr(graph_mod, "f1st", failing)
+        with pytest.raises(DomainError) as info:
+            fgr1st(chain_data(n=120, p=6, seed=21))
+        assert info.value is err
+        assert ran == [0, 1, 2, 3]
+
+    def test_ordered_map_keeps_item_order(self):
+        calls = []
+
+        def square(x):
+            calls.append((threading.get_ident(), x))
+            return x * x
+
+        assert ordered_map(square, iter([5, 3, 8, 1])) == [25, 9, 64, 1]
+        assert calls == [(threading.get_ident(), x) for x in (5, 3, 8, 1)]
+        assert ordered_map(square, []) == []
 
     def test_to_dict_one_based(self):
         m = chain_data(n=150, p=3, seed=5)
@@ -225,6 +266,7 @@ class TestRandomGraphSim:
         assert rep.estimated_edges == rep.true_edges - rep.fn + rep.fp
 
     def test_deterministic_across_runs_and_threads(self, monkeypatch):
+        """GAUSSCOV_THREADS is no longer read: setting it changes no output."""
         outs = []
         for threads in ("1", "3"):
             monkeypatch.setenv("GAUSSCOV_THREADS", threads)

@@ -415,6 +415,37 @@ class TestF1st:
         assert r.selected == [t.index for t in r.trace]
         assert r.pg == [t.p_g for t in r.trace]
 
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_unrefined_result_computes_only_the_intercept_drop_one_fit(self, intercept,
+                                                                       monkeypatch):
+        # the member P-values come from the trace, so of the drop-one fits only
+        # the intercept's is read; computing every one must change nothing
+        import gausscov.select as select_mod
+
+        rng = np.random.default_rng(62)
+        X, y = make_instance(rng, 60, 10, [(0, 5.0), (4, 4.0), (7, 3.0)])
+        cfg = SelectionConfig(max_subset_refine=0, intercept=intercept)
+        qr, calls = np.linalg.qr, []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return qr(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "qr", counting)
+        lean = f1st(DataMatrix(X), y, cfg)
+        lean_calls = len(calls)
+        terms = select_mod._Fit.terms
+        monkeypatch.setattr(select_mod._Fit, "terms",
+                            lambda fit, pos, drop=None: terms(fit, pos))
+        calls.clear()
+        full = f1st(DataMatrix(X), y, cfg)
+        assert sorted(lean.selected) == [0, 4, 7]
+        # the n-row QR, the fit's small QR, and the intercept's drop-one QR
+        assert lean_calls == 2 + intercept
+        assert len(calls) == lean_calls + len(lean.selected)
+        assert lean == full
+        assert (lean.intercept_pg is None) == (not intercept)
+
     def test_trace_rss_strictly_decreasing(self):
         rng = np.random.default_rng(73)
         X, y = make_instance(rng, 70, 30, [(5, 3.0), (6, 2.0), (7, 1.5)])

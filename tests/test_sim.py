@@ -1,10 +1,12 @@
 """Tests for the seeded simulation harness."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
+import gausscov.sim as sim_mod
 from gausscov import (
     DataMatrix,
     DomainError,
@@ -67,12 +69,45 @@ class TestRunSim:
         assert [r.rep for r in rep.records] == list(range(9))
 
     def test_deterministic_across_runs_and_threads(self, monkeypatch):
+        """GAUSSCOV_THREADS is no longer read: setting it changes no output."""
         spec = SimSpec(n=60, q=120, active_size=3, beta=12.0, reps=10, seed=77)
         outs = []
         for threads in ("1", "4"):
             monkeypatch.setenv("GAUSSCOV_THREADS", threads)
             outs.append(run_sim(spec).to_json(include_timing=False))
         assert outs[0] == outs[1]
+
+    def test_replicates_run_in_order_on_the_calling_thread(self, monkeypatch):
+        seen, real = [], sim_mod.f1st
+
+        def recording(*args, **kwargs):
+            r = real(*args, **kwargs)
+            seen.append((threading.get_ident(), r.selected))
+            return r
+
+        spec = SimSpec(n=50, q=60, active_size=2, beta=10.0, reps=5, seed=3)
+        want = run_sim(spec)
+        monkeypatch.setattr(sim_mod, "f1st", recording)
+        monkeypatch.setenv("GAUSSCOV_THREADS", "4")
+        got = run_sim(spec)
+        assert len({tuple(r.selected) for r in want.records}) > 1
+        assert seen == [(threading.get_ident(), r.selected) for r in want.records]
+        assert got.to_json(include_timing=False) == want.to_json(include_timing=False)
+
+    def test_replicate_error_reaches_the_caller_unchanged(self, monkeypatch):
+        err, real, calls = DomainError("replicate 3 fails"), sim_mod.f1st, []
+
+        def failing(*args, **kwargs):
+            calls.append(len(calls))
+            if len(calls) == 4:
+                raise err
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(sim_mod, "f1st", failing)
+        with pytest.raises(DomainError) as info:
+            run_sim(SimSpec(n=50, q=60, active_size=2, beta=10.0, reps=8, seed=3))
+        assert info.value is err
+        assert calls == [0, 1, 2, 3]
 
     def test_different_seeds_differ(self):
         a = run_sim(SimSpec(n=50, q=80, active_size=2, beta=10.0, reps=5, seed=1))
