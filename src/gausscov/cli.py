@@ -70,19 +70,18 @@ def _fmt_float(v):
     return repr(float(v))
 
 
-def _add_selection_flags(p, with_method=True):
+def _add_selection_flags(p, methods=()):
     p.add_argument("--p0", type=float, default=0.01,
                    help="significance level for the Gaussian P-values (default 0.01)")
     p.add_argument("--kmn", type=int, default=0,
                    help="minimum number of covariates taken before the stop rule applies")
-    p.add_argument("--m", type=int, default=1, help="branch depth for f3st")
     p.add_argument("--max-subset", type=int, default=20, dest="max_subset",
                    help="largest selection refined by exhaustive subset search")
     p.add_argument("--intercept", action=argparse.BooleanOptionalAction, default=True,
                    help="fit an intercept (default on)")
-    if with_method:
-        p.add_argument("--method", choices=["f1st", "f2st", "f3st", "allsubset"],
-                       default="f1st")
+    if methods:
+        p.add_argument("--method", choices=methods, default="f1st")
+        p.add_argument("--m", type=int, default=1, help="branch depth for f3st")
 
 
 def _selection_config(args):
@@ -91,7 +90,7 @@ def _selection_config(args):
         kmn=args.kmn,
         max_subset_refine=args.max_subset,
         intercept=args.intercept,
-        m=args.m,
+        m=getattr(args, "m", 1),
     )
 
 
@@ -399,11 +398,13 @@ def build_parser():
     ps.add_argument("--output", choices=["text", "json", "csv"], default="text")
     ps.add_argument("--trace", action="store_true",
                     help="include the stepwise trace in JSON output")
-    _add_selection_flags(ps)
+    _add_selection_flags(ps, ["f1st", "f2st", "f3st", "allsubset"])
     add_common_io(ps)
     ps.set_defaults(func=cmd_select)
 
-    pg = sub.add_parser("graph", help="estimate the dependency graph of the columns")
+    # no abbreviations here, or a stray --m would be taken as --max-subset
+    pg = sub.add_parser("graph", allow_abbrev=False,
+                        help="estimate the dependency graph of the columns")
     pg.add_argument("data", nargs="?", default=None)
     pg.add_argument("--rule", choices=["or", "and"], default="or")
     pg.add_argument("--outdir", default=None,
@@ -414,7 +415,7 @@ def build_parser():
     pg.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pg.add_argument("--standardize", action="store_true")
     pg.add_argument("--output", choices=["text", "json"], default="text")
-    _add_selection_flags(pg, with_method=False)
+    _add_selection_flags(pg)
     add_common_io(pg)
     pg.set_defaults(func=cmd_graph)
 
@@ -449,7 +450,7 @@ def build_parser():
     pm.add_argument("--seed", type=int, default=DEFAULT_SEED)
     pm.add_argument("--output", choices=["text", "json"], default="text")
     pm.add_argument("--no-records", action="store_true", dest="no_records")
-    _add_selection_flags(pm)
+    _add_selection_flags(pm, ["f1st", "f3st"])
     add_common_io(pm)
     pm.set_defaults(func=cmd_simulate)
 

@@ -81,8 +81,9 @@ def fgr1st(m, cfg=None, rule="or"):
 
     When there are no more columns than rows, the q x q Gram matrix of the
     columns (centred when the intercept is fitted) is formed once, and every
-    node regression scans and extends from it without a pass over the data;
-    the reported fits are still read from the n rows.
+    node regression scans and extends from it without a pass over the data.
+    Each node's basis and residual are still built on the n rows, and its
+    reported fit is read from the stepwise state, as in ``f1st``.
     """
     if cfg is None:
         cfg = SelectionConfig()

@@ -1,15 +1,25 @@
 """Column store and the incremental least-squares engine under all selection code.
 
 Memory stays at O(nq) for the data plus O(nk) for the fitted basis; no n x n
-matrix is ever formed.  A fit that scans for candidates keeps two vectors of
-length q: X^T r, the products of every column with the current residual, and
-each column's squared norm orthogonal to the basis.  The first scan fills both
-with one matrix product X^T [r | basis]; after the intercept, the norms are the
+matrix is ever formed.  A fit is grown by modified Gram-Schmidt with one
+reorthogonalization pass, with the response carried along as one more
+column (Bjorck, 1967): each vector v added to the fit gives a unit vector u
+of the basis B, a column of R with v's coefficients on B and the norm of
+its component orthogonal to the earlier basis, and a residual coefficient
+c = u . r.  The vectors fitted so far are B R, and c = B^T y, so every
+reported fit is read from R and c without revisiting the n rows.
+
+A fit that scans for candidates keeps two vectors of length q: X^T r, the
+products of every column with the current residual, and each column's
+squared norm orthogonal to the basis.  The first scan fills both with one
+matrix product X^T [r | basis]; after the intercept, the norms are the
 columns' sums of squares about their means.  After that each selection step
 reads the matrix once: a column entering the basis as unit vector u, with
 residual coefficient c, costs one product X^T u, which updates X^T r to
-X^T r - c X^T u and the norms to norms - (X^T u)^2.  Scans score from the kept
-vectors in O(q).
+X^T r - c X^T u and the norms to norms - (X^T u)^2.  Scans choose from the
+kept vectors in O(q), and take the rss after the chosen column from its
+component orthogonal to the basis on the n rows, which the extension that
+follows reuses.
 
 A fit seeded by ``seed_from_gram`` (the regression of one column of X on the
 others, given the q x q Gram matrix G of X) reads the matrix never: X^T r and
@@ -168,14 +178,16 @@ class ResidualState:
     """Mutable state of one growing least-squares fit.
 
     Holds the selected column indices, the current residual and its squared
-    norm, and an orthonormal basis of the fitted span.  The intercept, when
-    fitted, occupies a basis vector but is not listed in ``selected``.
+    norm, an orthonormal basis of the fitted span, and the factor R and
+    coefficients c that ``factor`` returns.  The intercept, when fitted,
+    occupies a basis vector but is not listed in ``selected``.
 
     Once ``scan_best`` has run, or ``seed_from_gram`` has, the state also keeps
     X^T r and the columns' squared norms orthogonal to the basis, for the
     matrix it scanned; each later extension updates both from X^T u, which it
     takes from one product with X, or in Gram mode from the Gram matrix and the
-    kept X^T b of every basis vector b after the intercept.
+    kept X^T b of every basis vector b after the intercept.  A scan also keeps
+    the extension by the column it chose, which ``extend`` then reuses.
 
     Arrays are replaced, never written in place, so a ``fork`` shares them with
     the state it came from, and extending either leaves the other unchanged.
@@ -183,7 +195,7 @@ class ResidualState:
     extended.
     """
 
-    __slots__ = ("n", "selected", "residual", "rss", "basis",
+    __slots__ = ("n", "selected", "residual", "rss", "basis", "_r", "_c", "_next",
                  "_cache_for", "_xtr", "_resid_norm2", "_gram", "_xtb")
 
     def __init__(self, y):
@@ -197,6 +209,10 @@ class ResidualState:
         self.residual = y.copy()
         self.rss = float(y @ y)
         self.basis = []
+        self._r = self._c = ()
+        # {(m, j): step}: the extension by column j of m that the last scan
+        # chose; once extended, j is selected and the entry never matches again
+        self._next = {}
         self._cache_for = None
         self._xtr = None
         self._resid_norm2 = None
@@ -216,38 +232,67 @@ class ResidualState:
         other._xtb = list(self._xtb)
         return other
 
+    def factor(self):
+        """(R, c): the fitted vectors, in the order added, are B R, and c = B^T y.
+
+        B is the basis, one row of R per basis vector.  R is upper triangular,
+        or trapezoidal when a vector in the span was recorded without a basis
+        vector of its own (``_record_in_span``).
+        """
+        r = np.zeros((len(self.basis), len(self._r)))
+        for i, col in enumerate(self._r):
+            r[:col.size, i] = col
+        return r, np.array(self._c)
+
 
 def _orthogonal_component(basis, v):
-    # modified Gram-Schmidt with one reorthogonalization pass
+    # modified Gram-Schmidt with one reorthogonalization pass; v's coefficients
+    # on the basis are summed over both passes
     u = np.array(v, dtype=np.float64)
+    coef = np.zeros(len(basis))
     for _ in range(2):
-        for b in basis:
-            u -= (b @ u) * b
-    return u
+        for i, b in enumerate(basis):
+            d = b @ u
+            u -= d * b
+            coef[i] += d
+    return u, coef
 
 
-def _extend_vector(state, v, orig_norm2, j=None):
-    u = _orthogonal_component(state.basis, v)
+def _step(state, v, name="vector"):
+    """The extension of the fit by v: (u, R column, c, residual, rss)."""
+    u, coef = _orthogonal_component(state.basis, v)
     u2 = float(u @ u)
-    if u2 <= COLLINEARITY_TOL * orig_norm2 or u2 == 0.0:
-        raise CollinearColumn("vector is numerically collinear with the current basis")
+    if u2 <= COLLINEARITY_TOL * float(v @ v) or u2 == 0.0:
+        raise CollinearColumn(f"{name} is numerically collinear with the current basis")
     norm = math.sqrt(u2)
     u /= norm
     c = float(u @ state.residual)
-    state.residual = state.residual - c * u
-    state.rss = float(state.residual @ state.residual)
+    residual = state.residual - c * u
+    return u, np.append(coef, norm), c, residual, float(residual @ residual)
+
+
+def _record_in_span(state, v):
+    # v lies in the span of the basis: a column of R, but no basis vector
+    state._r += (_orthogonal_component(state.basis, v)[1],)
+
+
+def _extend_vector(state, step, j=None):
+    u, rcol, c, state.residual, state.rss = step
     state.basis.append(u)
+    state._r += (rcol,)
+    state._c += (c,)
     if state._cache_for is None:
         return
     if state._gram is None:
         xtu = state._cache_for.values.T @ u
     else:
-        # v is column j, whose coefficient on each kept basis vector b is
-        # (X^T b)[j], so X^T (norm u) = G[j] - sum_b (X^T b)[j] X^T b
+        # the new vector is column j, whose coefficient on each kept basis
+        # vector b is (X^T b)[j], so X^T (|u| u) = G[j] - sum_b (X^T b)[j] X^T b,
+        # |u| being the last entry of its column of R
         xtu = np.array(state._gram[j])
         for xtb in state._xtb:
             xtu -= xtb[j] * xtb
-        xtu /= norm
+        xtu /= rcol[-1]
         state._xtb.append(xtu)
     state._xtr = state._xtr - c * xtu
     state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
@@ -257,7 +302,7 @@ def extend_intercept(state):
     """Add the constant column to the fit (done first, before any covariate)."""
     if state.fit_size:
         raise DomainError("intercept must be the first fitted vector")
-    _extend_vector(state, np.ones(state.n), float(state.n))
+    _extend_vector(state, _step(state, np.ones(state.n)))
     return state
 
 
@@ -275,13 +320,7 @@ def extend(state, m, j):
         raise DomainError("matrix row count does not match the state")
     if j in state.selected:
         raise DomainError(f"column {j} is already selected")
-    x = m.col(j)
-    try:
-        _extend_vector(state, x, float(x @ x), j)
-    except CollinearColumn:
-        raise CollinearColumn(
-            f"column {j} is numerically collinear with the current basis"
-        ) from None
+    _extend_vector(state, state._next.get((m, j)) or _step(state, m.col(j), f"column {j}"), j)
     state.selected.append(j)
     return state
 
@@ -347,7 +386,10 @@ def scan_best(state, m, excluded=()):
     Selected, excluded and numerically collinear columns are skipped; if
     nothing admissible remains, NoCandidates is raised.  Scores come from the
     state's kept X^T r and residual column norms; only the first scan of a
-    state (or of a new matrix) reads ``m``.
+    state (or of a new matrix) reads ``m``.  The rss comes from column j's
+    component orthogonal to the basis on the n rows, not from its score,
+    whose downdated norm loses digits when j nearly duplicates a fitted
+    column; ``extend(state, m, j)`` reuses that component.
 
     ``excluded`` may be an iterable of column indices or a boolean mask of
     length q.
@@ -369,7 +411,13 @@ def scan_best(state, m, excluded=()):
             score[excl] = -np.inf
     if state.selected:
         score[state.selected] = -np.inf
-    j = int(np.argmax(score))
-    if not math.isfinite(score[j]):
-        raise NoCandidates("no admissible candidate column remains")
-    return j, max(state.rss - float(score[j]), 0.0)
+    while True:
+        j = int(np.argmax(score))
+        if not math.isfinite(score[j]):
+            raise NoCandidates("no admissible candidate column remains")
+        try:
+            state._next = {(m, j): _step(state, m.col(j))}
+            return j, state._next[m, j][4]
+        except CollinearColumn:
+            # admissible by its downdated norm only
+            score[j] = -np.inf

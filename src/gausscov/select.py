@@ -23,8 +23,9 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from . import pvalues
-from .errors import DomainError, NoCandidates, TooManyColumns
-from .matrix import ResidualState, extend, extend_intercept, scan_best, seed_from_gram
+from .errors import CollinearColumn, DomainError, NoCandidates, TooManyColumns
+from .matrix import (COLLINEARITY_TOL, ResidualState, _record_in_span, extend,
+                     extend_intercept, scan_best, seed_from_gram)
 
 __all__ = [
     "ApproximationSet",
@@ -179,8 +180,6 @@ def _check_inputs(m, y):
     y = np.asarray(y, dtype=np.float64).ravel()
     if y.size != m.n:
         raise DomainError(f"response length {y.size} does not match n={m.n}")
-    if not np.isfinite(y).all():
-        raise DomainError("response contains non-finite entries")
     if m.n < 3:
         raise DomainError(f"need at least 3 observations, got {m.n}")
     return y
@@ -197,31 +196,29 @@ def _valid_exclusions(m, exclude):
 
 
 class _Fit:
-    """Thin QR of the design A = [1 | X[:, cols]], from which every reported fit is read.
+    """The R factor of a design A = [1 | X[:, cols]], from which every reported fit is read.
 
-    With A = QR, c = Q^T y and rss0 = |y - Qc|^2, the least-squares fit on any
-    set S of A's columns has the coefficients of min_b |c - R[:, S] b| and rss
-    rss0 plus that minimum, so subset fits are (k+1)-row problems that never
-    touch the n rows again.  A reported result is read by ``terms`` from one
-    small QR per term: the QR of [R[:, S] | c] gives the rss and, by
-    back-substitution, the coefficients, and the same QR with one term left
-    out gives that term's drop-one rss.  The subset search scores many
-    subsets at once from the covariate Gram system instead (``_combo_stats``).
-    Covariates are addressed by their positions in ``cols``; the intercept,
-    when fitted, is A's first column and term 0.
+    The state that fitted A's columns in order holds A = BR and c = B^T y, B
+    its orthonormal basis, and rss0 = |y - Bc|^2 as its rss; R has a column
+    per column of A, and fewer rows when some lie in the span of the columns
+    before them.  The least-squares fit on any set S of A's columns has the
+    coefficients of min_b |c - R[:, S] b| and rss rss0 plus that minimum, so
+    subset fits are small problems that never touch the n rows.  A reported
+    result is read by ``terms`` from one small QR per term: the QR of
+    [R[:, S] | c] gives the rss and, by back-substitution, the coefficients,
+    and the same QR with one term left out gives that term's drop-one rss.
+    The subset search scores many subsets at once from the covariate Gram
+    system instead (``_combo_stats``).  Covariates are addressed by their
+    positions in ``cols``; the intercept, when fitted, is A's first column and
+    term 0.
     """
 
-    def __init__(self, m, y, cols, intercept):
-        self.n = m.n
+    def __init__(self, state, cols):
+        self.n = state.n
         self.cols = list(cols)
-        self.off = int(intercept)
-        a = m.values[:, self.cols]
-        if intercept:
-            a = np.column_stack([np.ones(m.n), a])
-        q, self.r = np.linalg.qr(a)
-        self.c = q.T @ y
-        resid = y - q @ self.c
-        self.rss0 = float(resid @ resid)
+        self.r, self.c = state.factor()
+        self.off = self.r.shape[1] - len(self.cols)
+        self.rss0 = state.rss
         # the covariate block of R and c, with the intercept projected out:
         # subsets that keep the intercept are fitted from it without the
         # cancellation of n * mean(y)^2
@@ -313,9 +310,10 @@ def _combo_stats(fit, combos):
 
     ``combos`` is a (B, s) int array of covariate positions.  Returns (rss,
     rss_minus, ok): the subset rss, the per-member rss after dropping that
-    member alone, and a validity mask (well-conditioned, and no member whose
-    removal leaves an exact fit).  Uses the identity that dropping regressor i
-    raises rss by beta_i^2 / [G^{-1}]_{ii}.
+    member alone, and a validity mask (every member keeps more than
+    ``COLLINEARITY_TOL`` of its squared norm orthogonal to the others, as in
+    stepwise, and no member's removal leaves an exact fit).  Uses the identity
+    that dropping regressor i raises rss by beta_i^2 / [G^{-1}]_{ii}.
     """
     B, s = combos.shape
     Gs = fit.gram[combos[:, :, None], combos[:, None, :]]
@@ -337,12 +335,14 @@ def _combo_stats(fit, combos):
         rss = fit.tss - np.einsum("bs,bs->b", gs, beta)
         diag = np.einsum("bss->bs", inv)
         rss_minus = rss[:, None] + beta * beta / diag
-    np.maximum(rss, 0.0, out=rss)
-    ok = (
-        np.isfinite(rss)
-        & np.isfinite(rss_minus).all(axis=1)
-        & (rss_minus > fit.floor).all(axis=1)
-    )
+        np.maximum(rss, 0.0, out=rss)
+        ok = (
+            np.isfinite(rss)
+            & np.isfinite(rss_minus).all(axis=1)
+            & (rss_minus > fit.floor).all(axis=1)
+            # each member's squared norm over that of its part orthogonal to the others
+            & (np.einsum("bss->bs", Gs) * diag < 1.0 / COLLINEARITY_TOL).all(axis=1)
+        )
     return rss, rss_minus, ok
 
 
@@ -434,9 +434,7 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None, _gram=None):
                                       parent.states[1:])
         _log.states = [parent.states[0]]
     else:
-        state = ResidualState(y)
-        if cfg.intercept:
-            extend_intercept(state)
+        state = extend_intercept(ResidualState(y)) if cfg.intercept else ResidualState(y)
         if _gram is not None:
             # (G, j): y is column j of m, G = gram(m, centred=cfg.intercept)
             seed_from_gram(state, m, *_gram)
@@ -481,7 +479,7 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None, _gram=None):
         _log.parent = None
         _log.excluded = frozenset(excl)
     sel = list(state.selected)
-    fit = _Fit(m, y, sel, cfg.intercept)
+    fit = _Fit(state, sel)
     if sel and len(sel) <= cfg.max_subset_refine:
         # the least-rss passing subset, or none
         best = min(_passing_subsets(fit, cfg.p0, q_pool), default=(0.0, 0, ()))
@@ -514,7 +512,13 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
         raise TooManyColumns(
             f"all-subset search over {q_pool} columns exceeds the cap of {cap}"
         )
-    fit = _Fit(m, y, cand, cfg.intercept)
+    state = extend_intercept(ResidualState(y)) if cfg.intercept else ResidualState(y)
+    for j in cand:
+        try:
+            extend(state, m, j)
+        except CollinearColumn:
+            _record_in_span(state, m.col(j))
+    fit = _Fit(state, cand)
     retained = sorted(_passing_subsets(fit, cfg.p0, q_pool), key=lambda r: (-r[1], r[0], r[2]))
     # drop retained subsets contained in a larger retained subset
     maximal = []

@@ -216,6 +216,11 @@ class TestGraph:
         code, _, err = run(capsys, "graph")
         assert code == 3
 
+    def test_branch_depth_is_not_an_option(self, capsys):
+        # fgr1st runs f1st, which has no branches
+        code, _, err = run(capsys, "graph", TINY, "--m", "2", "--no-timing")
+        assert code == 3 and "--m" in err
+
 
 class TestFeaturize:
     def test_lags_written_with_namemap(self, capsys, tmp_path):
@@ -305,6 +310,11 @@ class TestSimulate:
     def test_unsupported_method(self, capsys):
         code, _, _ = run(capsys, "simulate", "--method", "f2st")
         assert code == 3
+
+    def test_only_f1st_and_f3st_offered(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["simulate", "--help"])
+        assert "--method {f1st,f3st}" in capsys.readouterr().out
 
 
 def test_console_script_installed():

@@ -16,7 +16,7 @@ from gausscov import (
     standardize,
 )
 from gausscov import matrix
-from gausscov.matrix import gram, seed_from_gram
+from gausscov.matrix import _record_in_span, gram, seed_from_gram
 
 
 def brute_rss(cols, y):
@@ -133,6 +133,27 @@ class TestResidualState:
         extend(st, m, 0)
         assert st.rss == pytest.approx(brute_rss([X[:, 2], X[:, 0]], y), rel=1e-10)
         assert st.selected == [2, 0]
+
+    def test_factor_reproduces_the_fitted_columns(self):
+        # A = B R and c = B^T y, B the basis; a column in the span of the ones
+        # before it adds a column of R but no row
+        rng = np.random.default_rng(506)
+        X = rng.standard_normal((20, 3))
+        y = rng.standard_normal(20)
+        m = DataMatrix(np.column_stack([X, X[:, 0] - 2.0 * X[:, 2]]))
+        st = ResidualState(y)
+        extend_intercept(st)
+        for j in range(3):
+            extend(st, m, j)
+        with pytest.raises(CollinearColumn):
+            extend(st, m, 3)
+        _record_in_span(st, m.col(3))
+        r, c = st.factor()
+        B = np.column_stack(st.basis)
+        assert r.shape == (4, 5) and np.allclose(np.tril(r[:, :4], -1), 0.0)
+        assert B @ r == pytest.approx(np.column_stack([np.ones(20), m.values]), abs=1e-12)
+        assert c == pytest.approx(B.T @ y, abs=1e-12)
+        assert st.rss == pytest.approx(float(y @ y - c @ c), rel=1e-12)
 
     def test_duplicate_extend_rejected(self):
         m = DataMatrix(np.random.default_rng(0).standard_normal((10, 3)))

@@ -10,6 +10,7 @@ mpmath.
 
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -384,7 +385,8 @@ class TestF1st:
 
     def test_rss_and_pvalues_independent_of_column_order_at_condition_1e10(self):
         # f1st fits the columns in selection order, all_subset_select in index
-        # order; at condition 1.5e10 both must still give the 50-digit rss
+        # order; at condition 1.5e10 both must still give the 50-digit rss and
+        # member P-values
         mp = pytest.importorskip("mpmath")
         n = 50
         for seed in range(3):
@@ -399,11 +401,21 @@ class TestF1st:
             assert stepwise.selected == [2, 1, 0], seed
             assert len(subsets) == 1 and subsets[0].selected == [0, 1, 2], seed
             with mp.workdps(50):
-                A = mp.matrix(np.column_stack([np.ones(n), X]).tolist())
-                _, res = mp.qr_solve(A, mp.matrix(y.tolist()))
-                truth = float(res ** 2)
+                def rss(cols):
+                    A = mp.matrix(np.column_stack([np.ones(n), X[:, cols]]).tolist())
+                    return mp.qr_solve(A, mp.matrix(y.tolist()))[1] ** 2
+
+                full = rss([0, 1, 2])
+                truth = float(full)
+                # a member of the whole pool competes with one Gaussian: P_G = P_F
+                pf = [float(mp.betainc((n - 4) / mp.mpf(2), mp.mpf(1) / 2, 0,
+                                       full / rss([i for i in range(3) if i != j]),
+                                       regularized=True))
+                      for j in range(3)]
             for r in (stepwise, subsets[0]):
-                assert r.rss == pytest.approx(truth, rel=1e-9, abs=0.0), seed
+                assert r.rss == pytest.approx(truth, rel=1e-12, abs=0.0), seed
+                assert r.pg == pytest.approx([pf[j] for j in r.selected],
+                                             rel=1e-11, abs=0.0), seed
             pg = dict(zip(subsets[0].selected, subsets[0].pg))
             assert stepwise.pg == pytest.approx([pg[j] for j in stepwise.selected],
                                                 rel=1e-9, abs=0.0), seed
@@ -427,9 +439,9 @@ class TestF1st:
         cfg = SelectionConfig(max_subset_refine=0, intercept=intercept)
         qr, calls = np.linalg.qr, []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return qr(*args, **kwargs)
+        def counting(a, *args, **kwargs):
+            calls.append(np.shape(a)[0])
+            return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting)
         lean = f1st(DataMatrix(X), y, cfg)
@@ -440,9 +452,11 @@ class TestF1st:
         calls.clear()
         full = f1st(DataMatrix(X), y, cfg)
         assert sorted(lean.selected) == [0, 4, 7]
-        # the n-row QR, the fit's small QR, and the intercept's drop-one QR
-        assert lean_calls == 2 + intercept
+        # the fit's small QR and the intercept's drop-one QR; the reported fit
+        # is read from the stepwise state, so no QR sees more than k + 2 rows
+        assert lean_calls == 1 + intercept
         assert len(calls) == lean_calls + len(lean.selected)
+        assert max(calls) <= len(lean.selected) + 2
         assert lean == full
         assert (lean.intercept_pg is None) == (not intercept)
 
@@ -488,6 +502,23 @@ class TestF1st:
         y = 5.0 * X[:, 0] + 5.0 * X[:, 1] + 0.1 * rng.standard_normal(30)
         r = f1st(DataMatrix(X), y)
         assert sorted(r.selected) == [0, 1]
+
+    def test_forced_step_skips_a_twin_collinear_on_the_n_rows(self):
+        # x1 - x0 keeps 1e-12 (1 +- 1e-3) of x1's squared norm, at the
+        # collinearity threshold, where the scan's downdated norm and the n-row
+        # component can disagree; kmn = 2 forces a step onto the twin, which
+        # must be skipped, not fail, when the n rows find it collinear
+        n = 30
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            x0, z = rng.standard_normal((2, n))
+            xc = x0 - x0.mean()
+            z -= z.mean() + (z @ xc) / (xc @ xc) * xc
+            gap2 = 1e-12 * (x0 @ x0) / (z @ z) * (1 + rng.uniform(-1e-3, 1e-3))
+            X = np.column_stack([x0, x0 + np.sqrt(gap2) * z])
+            y = x0 + 0.1 * rng.standard_normal(n)
+            r = f1st(DataMatrix(X), y, SelectionConfig(kmn=2))
+            assert len(r.selected) == 1, seed
 
     def test_response_validation(self):
         m = DataMatrix(np.random.default_rng(0).standard_normal((20, 3)))
@@ -538,20 +569,23 @@ class TestGramSeed:
     @pytest.mark.parametrize("gap", [1e-2, 1e-3, 1e-4, 1e-5])
     def test_trace_pvalues_match_centred_qr_with_near_duplicate_columns(self, gap):
         # every candidate has a twin at relative distance ``gap``; y, the last
-        # column, is regressed on the others
-        for seed in range(3):
+        # column, is regressed on the others.  kmn = 6 forces steps onto the
+        # twin of a selected column, whose downdated norm has lost digits
+        for kmn, seed in itertools.product((0, 6), range(3)):
+            cfg = SelectionConfig(kmn=kmn)
             rng = np.random.default_rng(seed)
             X = rng.standard_normal((100, 24))
             X[:, 1::2] = X[:, ::2] + gap * rng.standard_normal((100, 12))
             y = X[:, [0, 6, 11, 17]] @ [1.0, -0.8, 0.6, 0.5] + rng.standard_normal(100)
             m = DataMatrix(np.column_stack([X, y]))
             q = X.shape[1]
-            plain = f1st(m, y, exclude=(q,))
-            seeded = f1st(m, y, exclude=(q,), _gram=(gram(m, centred=True), q))
+            plain = f1st(m, y, cfg, exclude=(q,))
+            seeded = f1st(m, y, cfg, exclude=(q,), _gram=(gram(m, centred=True), q))
             sel = [t.index for t in seeded.trace]
-            assert sel == [t.index for t in plain.trace] and len(sel) >= 3
+            assert sel == [t.index for t in plain.trace] and len(sel) >= max(3, kmn)
             want = centred_qr_trace_pf(X, y, sel, q)
-            assert [t.p_f for t in seeded.trace] == pytest.approx(want, rel=1e-8, abs=0.0)
+            for r in (plain, seeded):
+                assert [t.p_f for t in r.trace] == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +600,9 @@ class TestAllSubset:
         (14, 40, 8, [(2, 1.5), (5, 1.2)], True),
         (15, 25, 6, [(0, 5.0)], False),
         (16, 35, 9, [(1, 2.0), (4, 2.0), (7, 2.0)], True),
+        # wide pools (q > n): the later columns lie in the span of the earlier ones
+        (84, 9, 12, [(0, 3.0)], True),
+        (85, 8, 11, [(0, 4.0)], False),
     ])
     def test_matches_brute_force(self, seed, n, q, signal, intercept):
         rng = np.random.default_rng(seed)
@@ -580,6 +617,26 @@ class TestAllSubset:
             for a, b in zip(res.pg, pgs):
                 assert a == pytest.approx(b, rel=1e-8, abs=1e-300)
             check_coefficients_and_intercept(res, X, y, intercept)
+
+    def test_duplicated_column_never_in_one_result_twice(self):
+        # column b copies (a multiple of) column a, which carries the signal;
+        # a subset holding both is singular up to rounding, and its rounded
+        # fit must not pass (the listed seeds are ones where it did)
+        for seed in (64, 120, 158, 360, 840, *range(10)):
+            rng = np.random.default_rng(seed)
+            n, q = int(rng.integers(8, 40)), int(rng.integers(3, 10))
+            X = rng.standard_normal((n, q))
+            a, b = rng.choice(q, 2, replace=False)
+            X[:, b] = X[:, a] * (1.0 if seed % 2 else 3.0)
+            y = rng.standard_normal(n) + 3.0 * X[:, a]
+            for intercept in (True, False):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = all_subset_select(DataMatrix(X), y,
+                                            SelectionConfig(intercept=intercept))
+                assert got.results, (seed, intercept)
+                for r in got.results:
+                    assert not {a, b} <= set(r.selected), (seed, intercept, r.selected)
 
     def test_results_ordered_by_rss(self):
         rng = np.random.default_rng(77)
