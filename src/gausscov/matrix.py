@@ -210,9 +210,9 @@ class ResidualState:
         self.rss = float(y @ y)
         self.basis = []
         self._r = self._c = ()
-        # {(m, j): step}: the extension by column j of m that the last scan
-        # chose; once extended, j is selected and the entry never matches again
-        self._next = {}
+        # (m, j, step): the extension by column j of m that the last scan
+        # chose, until the fit is next extended
+        self._next = None
         self._cache_for = None
         self._xtr = None
         self._resid_norm2 = None
@@ -278,6 +278,7 @@ def _record_in_span(state, v):
 
 def _extend_vector(state, step, j=None):
     u, rcol, c, state.residual, state.rss = step
+    state._next = None
     state.basis.append(u)
     state._r += (rcol,)
     state._c += (c,)
@@ -320,7 +321,10 @@ def extend(state, m, j):
         raise DomainError("matrix row count does not match the state")
     if j in state.selected:
         raise DomainError(f"column {j} is already selected")
-    _extend_vector(state, state._next.get((m, j)) or _step(state, m.col(j), f"column {j}"), j)
+    nxt = state._next
+    if nxt is None or nxt[0] is not m or nxt[1] != j:
+        nxt = (m, j, _step(state, m.col(j), f"column {j}"))
+    _extend_vector(state, nxt[2], j)
     state.selected.append(j)
     return state
 
@@ -416,8 +420,8 @@ def scan_best(state, m, excluded=()):
         if not math.isfinite(score[j]):
             raise NoCandidates("no admissible candidate column remains")
         try:
-            state._next = {(m, j): _step(state, m.col(j))}
-            return j, state._next[m, j][4]
+            state._next = (m, j, _step(state, m.col(j)))
+            return j, state._next[2][4]
         except CollinearColumn:
             # admissible by its downdated norm only
             score[j] = -np.inf

@@ -425,8 +425,7 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None, _gram=None):
     excl = _valid_exclusions(m, exclude)
     q_pool = m.q - len(excl)
     excl_mask = np.zeros(m.q, dtype=bool)
-    if excl:
-        excl_mask[list(excl)] = True
+    excl_mask[list(excl)] = True
     parent = None if _log is None else _log.parent
     if parent is not None and parent.excluded <= excl:
         state = parent.states[0].fork()
@@ -524,9 +523,7 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
     maximal = []
     masks = []
     for rss, s, combo in retained:
-        mask = 0
-        for i in combo:
-            mask |= 1 << i
+        mask = sum(1 << i for i in combo)
         if any(mask & kept == mask for kept in masks):
             continue
         masks.append(mask)

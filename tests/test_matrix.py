@@ -155,6 +155,40 @@ class TestResidualState:
         assert c == pytest.approx(B.T @ y, abs=1e-12)
         assert st.rss == pytest.approx(float(y @ y - c @ c), rel=1e-12)
 
+    @pytest.mark.parametrize("other", ["column", "intercept"])
+    def test_scanned_extension_is_dropped_once_the_fit_grows_otherwise(self, other):
+        # the extension a scan keeps for its column is stale after any other
+        # extension, and extending by the scanned column must recompute it
+        rng = np.random.default_rng(507)
+        X = rng.standard_normal((30, 5))
+        y = X[:, 1] + 0.5 * X[:, 3] + rng.standard_normal(30)
+        m = DataMatrix(X)
+        st = ResidualState(y)
+        if other == "column":
+            extend_intercept(st)
+        j, _ = scan_best(st, m)
+        if other == "column":
+            k = (j + 1) % m.q
+            extend(st, m, k)
+            fitted = [np.ones(30), X[:, k]]
+        else:
+            extend_intercept(st)
+            fitted = [np.ones(30)]
+        extend(st, m, j)
+        fitted.append(X[:, j])
+        assert st.rss == pytest.approx(brute_rss(fitted, y), rel=1e-12)
+        r, c = st.factor()
+        B = np.column_stack(st.basis)
+        assert B.T @ B == pytest.approx(np.eye(len(fitted)), abs=1e-12)
+        assert B @ r == pytest.approx(np.column_stack(fitted), abs=1e-12)
+        assert c == pytest.approx(B.T @ y, abs=1e-12)
+        # later scans read the kept X^T r and norms, which must match a fresh scan
+        fresh = ResidualState(y)
+        extend_intercept(fresh)
+        for col in st.selected:
+            extend(fresh, m, col)
+        assert scan_best(st, m) == pytest.approx(scan_best(fresh, m), rel=1e-10)
+
     def test_duplicate_extend_rejected(self):
         m = DataMatrix(np.random.default_rng(0).standard_normal((10, 3)))
         st = ResidualState(np.arange(10.0))
