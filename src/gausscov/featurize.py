@@ -59,6 +59,7 @@ def load_csv(path, header=None, delimiter=",", na_policy="reject"):
         None (default) auto-detects: the first row becomes column names when
         any of its cells fails to parse as a number.
     delimiter : str
+        A single character.
     na_policy : str
         'reject' (default) errors on the first missing value with its 1-based
         file coordinates; 'drop' removes rows containing missing values.
@@ -67,7 +68,11 @@ def load_csv(path, header=None, delimiter=",", na_policy="reject"):
     """
     if na_policy not in ("reject", "drop"):
         raise DomainError(f"na_policy must be 'reject' or 'drop', got {na_policy!r}")
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    if not isinstance(delimiter, str) or len(delimiter) != 1:
+        raise DomainError(f"delimiter must be one character, got {delimiter!r}")
+    # utf-8-sig drops a leading byte-order mark, which would otherwise stick to
+    # the first cell
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         rows = [row for row in csv.reader(fh, delimiter=delimiter)]
     rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:

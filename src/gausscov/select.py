@@ -43,7 +43,7 @@ __all__ = [
 # be 0/0.
 _PERFECT_FIT_REL = 1e-12
 
-_BATCH = 65536
+_BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -196,21 +196,19 @@ def _valid_exclusions(m, exclude):
 
 
 class _Fit:
-    """The R factor of a design A = [1 | X[:, cols]], from which every reported fit is read.
+    """The R factor of a design A = [1 | X[:, cols]], from which every subset fit is read.
 
     The state that fitted A's columns in order holds A = BR and c = B^T y, B
     its orthonormal basis, and rss0 = |y - Bc|^2 as its rss; R has a column
     per column of A, and fewer rows when some lie in the span of the columns
     before them.  The least-squares fit on any set S of A's columns has the
     coefficients of min_b |c - R[:, S] b| and rss rss0 plus that minimum, so
-    subset fits are small problems that never touch the n rows.  A reported
-    result is read by ``terms`` from one small QR per term: the QR of
-    [R[:, S] | c] gives the rss and, by back-substitution, the coefficients,
-    and the same QR with one term left out gives that term's drop-one rss.
-    The subset search scores many subsets at once from the covariate Gram
-    system instead (``_combo_stats``).  Covariates are addressed by their
-    positions in ``cols``; the intercept, when fitted, is A's first column and
-    term 0.
+    subset fits are small problems that never touch the n rows.  ``rss`` is
+    the one routine that solves them: the subset search scores its subsets
+    with it and a reported result reads its rss, coefficients and drop-one
+    rss from it, so both see the same numbers.  Covariates are addressed by
+    their positions in ``cols``; the intercept, when fitted, is A's first
+    column and term 0.
     """
 
     def __init__(self, state, cols):
@@ -219,44 +217,33 @@ class _Fit:
         self.r, self.c = state.factor()
         self.off = self.r.shape[1] - len(self.cols)
         self.rss0 = state.rss
-        # the covariate block of R and c, with the intercept projected out:
-        # subsets that keep the intercept are fitted from it without the
-        # cancellation of n * mean(y)^2
-        r, c = self.r[self.off:, self.off:], self.c[self.off:]
-        self.gram = r.T @ r
-        self.rc = r.T @ c
+        self.norm2 = np.einsum("ij,ij->j", self.r, self.r)
         # rss after the intercept alone (y.y without it), and the level at or
         # below which an rss is rounding noise, as in stepwise: the fit is exact
+        c = self.c[self.off:]
         self.tss = self.rss0 + float(c @ c)
         self.floor = _PERFECT_FIT_REL * self.tss
 
-    def terms(self, pos, drop=None):
-        """(rss, coefficients, drop-one rss) of the fit on covariate positions ``pos``.
+    def rss(self, idx):
+        """(rss, valid, F) of the fits on A's columns ``idx``, a (B, s) int array.
 
-        The terms are the intercept, when fitted, followed by ``pos``; entry t
-        of the coefficients belongs to term t.  The drop-one rss list has one
-        entry per term in ``drop`` (default: every term), in that order.
+        F stacks the R factors of [R[:, S] | c], each padded with zero rows to
+        s + 1 so that it is square.  The rss is rss0 + F[s, s]^2, from c's
+        component outside span(R[:, S]), not from |c - R beta|, whose error
+        grows with the condition number; F[:s, :s] beta = F[:s, s] gives the
+        coefficients.  A fit is valid when every term keeps more than
+        ``COLLINEARITY_TOL`` of its squared norm orthogonal to the terms before
+        it, as in stepwise.
         """
-        idx = list(range(self.off)) + [i + self.off for i in pos]
-        rss, f = self._rss(idx)
-        s = len(idx)
-        beta = solve_triangular(f[:s, :s], f[:s, -1])
-        if drop is None:
-            drop = range(s)
-        return rss, beta, [self._rss(idx[:t] + idx[t + 1:])[0] for t in drop]
-
-    def _rss(self, idx):
-        """(rss, R factor of [R[:, idx] | c]) of the fit on A's columns ``idx``."""
-        # the rss comes from c's component outside span(R[:, idx]), the last
-        # diagonal entry of the R factor of [R[:, idx] | c] (none when R[:, idx]
-        # is square), not from |c - R beta|, whose error grows with the
-        # condition number; the leading block of the same factor gives beta by
-        # back-substitution.  Every subset fitted here has full column rank:
-        # stepwise rejects collinear columns and _combo_stats marks singular
-        # subsets invalid.
-        f = np.linalg.qr(np.column_stack([self.r[:, idx], self.c]), mode="r")
-        d = f[len(idx):, -1]
-        return self.rss0 + float(d @ d), f
+        b, s = idx.shape
+        p = self.r.shape[0]
+        a = np.zeros((b, max(p, s + 1), s + 1))
+        a[:, :p, :s] = self.r.T[idx].swapaxes(1, 2)
+        a[:, :p, s] = self.c
+        f = np.linalg.qr(a, mode="r")
+        d = np.diagonal(f, axis1=1, axis2=2) ** 2
+        valid = (d[:, :s] > COLLINEARITY_TOL * self.norm2[idx]).all(axis=1)
+        return self.rss0 + d[:, s], valid, f
 
     def pf(self, ctx, rss, rss_wo):
         """P_F of a term whose removal leaves ``rss_wo``; 1.0 when that fit is already exact."""
@@ -272,10 +259,16 @@ def _build_result(m, fit, pos, q_pool, trace=(), pg=None):
     Coefficients are reported on the original scale of the data.
     """
     sel = [fit.cols[i] for i in pos]
-    # given member P-values leave only the intercept's drop-one rss to compute
-    rss, beta, rss_drop = fit.terms(pos, None if pg is None else range(fit.off))
+    idx = np.array(list(range(fit.off)) + [i + fit.off for i in pos], dtype=np.intp)
+    s = idx.size
+    rss, _, f = fit.rss(idx[None])
+    rss, f = float(rss[0]), f[0]
+    beta = solve_triangular(f[:s, :s], f[:s, s])
+    # every term's drop-one rss, from one batch of leave-one-out fits
+    loo = np.broadcast_to(idx, (s, s))[~np.eye(s, dtype=bool)].reshape(s, max(s - 1, 0))
+    rss_drop = fit.rss(loo)[0].tolist()
     # a fit with no term at all tests nothing
-    ctx = pvalues.PvalueContext(fit.n, len(beta), q_pool - len(sel)) if len(beta) else None
+    ctx = pvalues.PvalueContext(fit.n, s, q_pool - len(sel)) if s else None
     if pg is None:
         pg = [pvalues.pg_all_subset(ctx, fit.pf(ctx, rss, r)) for r in rss_drop[fit.off:]]
     # undo recorded rescaling: stored = (raw - offset)/scale
@@ -304,63 +297,33 @@ def _build_result(m, fit, pos, q_pool, trace=(), pg=None):
     )
 
 
-def _combo_stats(fit, combos):
-    """Batched subset fits, each with the intercept when fitted, from the fit's
-    covariate Gram system.
-
-    ``combos`` is a (B, s) int array of covariate positions.  Returns (rss,
-    rss_minus, ok): the subset rss, the per-member rss after dropping that
-    member alone, and a validity mask (every member keeps more than
-    ``COLLINEARITY_TOL`` of its squared norm orthogonal to the others, as in
-    stepwise, and no member's removal leaves an exact fit).  Uses the identity
-    that dropping regressor i raises rss by beta_i^2 / [G^{-1}]_{ii}.
-    """
-    B, s = combos.shape
-    Gs = fit.gram[combos[:, :, None], combos[:, None, :]]
-    gs = fit.rc[combos]
-    with np.errstate(all="ignore"):
-        try:
-            beta = np.linalg.solve(Gs, gs[..., None])[..., 0]
-            inv = np.linalg.inv(Gs)
-        except np.linalg.LinAlgError:
-            # fall back to per-subset solves, flagging singular ones
-            beta = np.full((B, s), np.nan)
-            inv = np.full((B, s, s), np.nan)
-            for b in range(B):
-                try:
-                    beta[b] = np.linalg.solve(Gs[b], gs[b])
-                    inv[b] = np.linalg.inv(Gs[b])
-                except np.linalg.LinAlgError:
-                    pass
-        rss = fit.tss - np.einsum("bs,bs->b", gs, beta)
-        diag = np.einsum("bss->bs", inv)
-        rss_minus = rss[:, None] + beta * beta / diag
-        np.maximum(rss, 0.0, out=rss)
-        ok = (
-            np.isfinite(rss)
-            & np.isfinite(rss_minus).all(axis=1)
-            & (rss_minus > fit.floor).all(axis=1)
-            # each member's squared norm over that of its part orthogonal to the others
-            & (np.einsum("bss->bs", Gs) * diag < 1.0 / COLLINEARITY_TOL).all(axis=1)
-        )
-    return rss, rss_minus, ok
-
-
 def _passing_subsets(fit, p0, q_pool):
     """Subsets of the fit's covariates whose every member passes the membership test.
 
     Yields (rss, size, positions) for each subset small enough to leave two
-    residual degrees of freedom.
+    residual degrees of freedom.  Every subset keeps the intercept when it is
+    fitted.  Sizes are scored in increasing order, and each subset's rss is
+    kept at its bit mask, so a member's drop-one rss is the entry at the mask
+    without that member's bit, scored one size earlier.
     """
     k = len(fit.cols)
+    lead = np.arange(fit.off)
+    rss_at = np.empty(1 << k)
+    rss_at[0] = fit.rss(lead[None])[0][0]
     for s in range(1, min(k, fit.n - fit.off - 2) + 1):
         pf_thr = pvalues.pf_threshold(p0, q_pool - s + 1)
         x_thr = pvalues.beta_cdf_inv((fit.n - s - fit.off) / 2.0, 0.5, pf_thr)
         combos = np.array(list(itertools.combinations(range(k), s)), dtype=np.intp)
         for lo in range(0, len(combos), _BATCH):
             chunk = combos[lo:lo + _BATCH]
-            rss, rss_minus, ok = _combo_stats(fit, chunk)
-            keep = ok & (rss < x_thr * rss_minus.min(axis=1))
+            rss, ok, _ = fit.rss(np.hstack([np.broadcast_to(lead, (len(chunk), fit.off)),
+                                            chunk + fit.off]))
+            bits = 1 << chunk
+            mask = bits.sum(axis=1)
+            rss_at[mask] = rss
+            rss_minus = rss_at[mask[:, None] ^ bits]
+            keep = (ok & (rss_minus > fit.floor).all(axis=1)
+                    & (rss < x_thr * rss_minus.min(axis=1)))
             for b in np.flatnonzero(keep):
                 yield float(rss[b]), s, tuple(chunk[b])
 

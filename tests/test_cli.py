@@ -160,6 +160,12 @@ class TestExitCodes:
         assert code == 3
         assert "p0" in err
 
+    def test_bad_delimiter_is_config_error(self, capsys):
+        for delimiter in (";;", ""):
+            code, _, err = run(capsys, "select", TINY, "--delimiter", delimiter)
+            assert code == 3, delimiter
+            assert "delimiter" in err
+
     def test_no_command_prints_help(self, capsys):
         code, out, _ = run(capsys)
         assert code == 3

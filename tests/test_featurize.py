@@ -17,6 +17,7 @@ from gausscov import (
     make_lags,
     make_trig,
     monomial_count,
+    resolve_column,
     sample_correlations,
     split_response,
     standardize,
@@ -106,6 +107,20 @@ class TestLoadCsv:
         p = write(tmp_path, "a;b\n1;2\n")
         m = load_csv(p, delimiter=";")
         assert m.names == ["a", "b"]
+
+    def test_byte_order_mark_keeps_a_numeric_first_row(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes("\ufeff1.0,2.0\n3,4\n".encode("utf-8"))
+        m = load_csv(str(p))
+        assert m.names == ["x1", "x2"]
+        assert m.values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+    def test_byte_order_mark_not_part_of_the_first_name(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes("\ufeffy,x\n1,2\n3,5\n".encode("utf-8"))
+        m = load_csv(str(p))
+        assert m.names == ["y", "x"]
+        assert resolve_column(m, "y") == 0
 
     def test_trailing_blank_lines_tolerated(self, tmp_path):
         p = write(tmp_path, "a,b\n1,2\n\n\n")

@@ -428,37 +428,32 @@ class TestF1st:
         assert r.pg == [t.p_g for t in r.trace]
 
     @pytest.mark.parametrize("intercept", [True, False])
-    def test_unrefined_result_computes_only_the_intercept_drop_one_fit(self, intercept,
-                                                                       monkeypatch):
-        # the member P-values come from the trace, so of the drop-one fits only
-        # the intercept's is read; computing every one must change nothing
-        import gausscov.select as select_mod
-
+    def test_reported_fit_makes_two_small_qr_calls(self, intercept, monkeypatch):
+        # the reported fit is read from the stepwise state: one small QR for
+        # the fit and one batch of QRs for every term's drop-one fit
         rng = np.random.default_rng(62)
         X, y = make_instance(rng, 60, 10, [(0, 5.0), (4, 4.0), (7, 3.0)])
         cfg = SelectionConfig(max_subset_refine=0, intercept=intercept)
-        qr, calls = np.linalg.qr, []
+        plain = f1st(DataMatrix(X), y, cfg)
+        qr, rows = np.linalg.qr, []
 
         def counting(a, *args, **kwargs):
-            calls.append(np.shape(a)[0])
+            rows.append(np.shape(a)[-2])
             return qr(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "qr", counting)
-        lean = f1st(DataMatrix(X), y, cfg)
-        lean_calls = len(calls)
-        terms = select_mod._Fit.terms
-        monkeypatch.setattr(select_mod._Fit, "terms",
-                            lambda fit, pos, drop=None: terms(fit, pos))
-        calls.clear()
-        full = f1st(DataMatrix(X), y, cfg)
-        assert sorted(lean.selected) == [0, 4, 7]
-        # the fit's small QR and the intercept's drop-one QR; the reported fit
-        # is read from the stepwise state, so no QR sees more than k + 2 rows
-        assert lean_calls == 1 + intercept
-        assert len(calls) == lean_calls + len(lean.selected)
-        assert max(calls) <= len(lean.selected) + 2
-        assert lean == full
-        assert (lean.intercept_pg is None) == (not intercept)
+        counted = f1st(DataMatrix(X), y, cfg)
+        assert sorted(counted.selected) == [0, 4, 7]
+        assert len(rows) == 2
+        # the small problems never see the n rows
+        assert max(rows) <= len(counted.selected) + 2
+        assert counted == plain
+        assert counted.pg == [t.p_g for t in counted.trace]
+        a = np.column_stack([np.ones(60)] * intercept + [X[:, counted.selected]])
+        beta = np.linalg.lstsq(a, y, rcond=None)[0]
+        assert counted.rss == pytest.approx(float(np.sum((y - a @ beta) ** 2)), rel=1e-10)
+        assert counted.coefficients == pytest.approx(list(beta[intercept:]), rel=1e-10)
+        assert (counted.intercept_pg is None) == (not intercept)
 
     def test_trace_rss_strictly_decreasing(self):
         rng = np.random.default_rng(73)
@@ -637,6 +632,40 @@ class TestAllSubset:
                 assert got.results, (seed, intercept)
                 for r in got.results:
                     assert not {a, b} <= set(r.selected), (seed, intercept, r.selected)
+
+    @pytest.mark.parametrize("seed", [42, 135, 308])
+    def test_matches_50_digit_search_with_an_ill_conditioned_pair(self, seed):
+        # x1 is x0 plus a tiny gap and y holds their difference over the gap,
+        # so the pair is significant only jointly and every subset holding it
+        # is fitted at condition ~1/gap; at these seeds, fits that square that
+        # condition (normal equations) miss a maximal set (42), report a
+        # member P-value above p0 (135) or split a set in two (308)
+        mp = pytest.importorskip("mpmath")
+        rng = np.random.default_rng(seed)
+        n, q, p0 = 40, 5, 0.01
+        z = rng.standard_normal((n, 6))
+        gap, noise = 10 ** -rng.uniform(3, 6), 10 ** -rng.uniform(3, 9)
+        X = np.column_stack([z[:, 0], z[:, 0] + gap * z[:, 1], z[:, 2], z[:, 3], z[:, 4]])
+        y = (X[:, 1] - X[:, 0]) / gap + 0.3 * z[:, 2] + noise * z[:, 5]
+        with mp.workdps(50):
+            def rss(cols):
+                A = mp.matrix(np.column_stack([np.ones(n), X[:, list(cols)]]).tolist())
+                return mp.qr_solve(A, mp.matrix(y.tolist()))[1] ** 2
+
+            rss_of = {S: rss(S) for s in range(q + 1)
+                      for S in itertools.combinations(range(q), s)}
+            passing = set()
+            for S in rss_of:
+                ratios = [float(rss_of[S] / rss_of[tuple(c for c in S if c != t)]) for t in S]
+                pg = [1 - (1 - sp_betainc((n - len(S) - 1) / 2, 0.5, x)) ** (q - len(S) + 1)
+                      for x in ratios]
+                if S and max(pg) < p0:
+                    passing.add(frozenset(S))
+        want = {S for S in passing if not any(S < T for T in passing)}
+        got = all_subset_select(DataMatrix(X), y, SelectionConfig(p0=p0))
+        assert {frozenset(r.selected) for r in got.results} == want
+        for r in got.results:
+            assert max(r.pg) < p0, (r.selected, r.pg)
 
     def test_results_ordered_by_rss(self):
         rng = np.random.default_rng(77)
