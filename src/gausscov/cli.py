@@ -2,9 +2,10 @@
 
 Every user-facing index is 1-based.  Exit codes: 0 on success (an empty
 selection is a success), 2 on I/O or parse failures, 3 on configuration
-errors.  Selection draws no random numbers; the commands that do (graph
---random, featurize --corr-pairs, simulate) take --seed, which defaults to
-1729 so unseeded runs are still reproducible.
+errors; a package error's class fixes its code (``exit_code``).  Selection
+draws no random numbers; the commands that do (graph --random, featurize
+--corr-pairs, simulate) take --seed, which defaults to 1729 so unseeded runs
+are still reproducible.
 """
 
 import argparse
@@ -16,15 +17,7 @@ import time
 
 import numpy as np
 
-from .errors import (
-    AllColumnsConstant,
-    ColumnBudgetExceeded,
-    DomainError,
-    GausscovError,
-    GenerationFailure,
-    InsufficientLength,
-    TooManyColumns,
-)
+from .errors import DomainError, GausscovError
 from .featurize import (
     InteractionSpec,
     interaction_columns,
@@ -56,14 +49,10 @@ from .sim import SimSpec, run_sim
 DEFAULT_SEED = 1729
 
 
-class _ConfigError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse usage problems (unknown flags, bad values) are config errors
     def error(self, message):
-        raise _ConfigError(message)
+        raise DomainError(message)
 
 
 def _fmt_float(v):
@@ -101,12 +90,6 @@ def _default_response(m):
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------
-
-def _as_approximations(obj, method):
-    if isinstance(obj, ApproximationSet):
-        return obj
-    return ApproximationSet([obj], [method])
-
 
 def _print_select_text(out, aset, meta, seconds, include_timing):
     w = out.write
@@ -148,17 +131,14 @@ def cmd_select(args):
     if args.standardize:
         m, _ = standardize(m)
     cfg = _selection_config(args)
+    # looked up per call, so a wrapper set on this module's f1st is the one called
+    method = {"f1st": f1st, "f2st": f2st, "f3st": f3st,
+              "allsubset": all_subset_select}[args.method]
     t0 = time.perf_counter()
-    if args.method == "f1st":
-        res = f1st(m, y, cfg)
-    elif args.method == "f2st":
-        res = f2st(m, y, cfg)
-    elif args.method == "f3st":
-        res = f3st(m, y, cfg)
-    else:
-        res = all_subset_select(m, y, cfg)
+    aset = method(m, y, cfg)
     seconds = time.perf_counter() - t0
-    aset = _as_approximations(res, args.method)
+    if not isinstance(aset, ApproximationSet):
+        aset = ApproximationSet([aset], [args.method])
     meta = {
         "method": args.method,
         "n": m.n,
@@ -214,7 +194,7 @@ def cmd_graph(args):
                 print(line)
         return 0
     if args.data is None:
-        raise _ConfigError("graph needs a data file or --random P N")
+        raise DomainError("graph needs a data file or --random P N")
     m = load_csv(args.data, delimiter=args.delimiter, na_policy=args.na_policy)
     if args.standardize:
         m, _ = standardize(m)
@@ -255,17 +235,17 @@ def _parse_lags(text):
             try:
                 a, b = int(a), int(b)
             except ValueError:
-                raise _ConfigError(f"bad lag range {part!r}") from None
+                raise DomainError(f"bad lag range {part!r}") from None
             if a > b:
-                raise _ConfigError(f"bad lag range {part!r}")
+                raise DomainError(f"bad lag range {part!r}")
             lags.extend(range(a, b + 1))
         elif part:
             try:
                 lags.append(int(part))
             except ValueError:
-                raise _ConfigError(f"bad lag {part!r}") from None
+                raise DomainError(f"bad lag {part!r}") from None
     if not lags:
-        raise _ConfigError("no lags given")
+        raise DomainError("no lags given")
     return lags
 
 
@@ -297,7 +277,7 @@ def cmd_featurize(args):
         args.corr_pairs is not None,
     ]
     if sum(modes) != 1:
-        raise _ConfigError(
+        raise DomainError(
             "featurize needs exactly one of --lags, --trig, --interactions, --corr-pairs"
         )
     m0 = load_csv(args.data, delimiter=args.delimiter, na_policy=args.na_policy)
@@ -313,7 +293,7 @@ def cmd_featurize(args):
                 out.close()
         return 0
     if args.out is None:
-        raise _ConfigError("featurize needs --out for design construction")
+        raise DomainError("featurize needs --out for design construction")
     resp = args.response_var if args.response_var is not None else _default_response(m0)
     if args.lags is not None:
         lags = _parse_lags(args.lags)
@@ -466,21 +446,10 @@ def main(argv=None):
             parser.print_help()
             return 3
         return args.func(args)
-    except (
-        _ConfigError,
-        DomainError,
-        TooManyColumns,
-        ColumnBudgetExceeded,
-        InsufficientLength,
-        AllColumnsConstant,
-        GenerationFailure,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    # parse failures and every other package error
+    # each package error's class fixes its exit code; OSError exits with 2
     except (GausscovError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return getattr(exc, "exit_code", 2)
 
 
 if __name__ == "__main__":

@@ -2,11 +2,20 @@
 
 
 class GausscovError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    ``exit_code`` is the status the command line exits with on the error: 2
+    by default (unreadable input and other failures), 3 for a configuration
+    error.
+    """
+
+    exit_code = 2
 
 
 class DomainError(GausscovError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
+
+    exit_code = 3
 
 
 class CollinearColumn(GausscovError):
@@ -20,17 +29,25 @@ class NoCandidates(GausscovError):
 class AllColumnsConstant(GausscovError):
     """Every column of the matrix is constant; nothing can be standardized."""
 
+    exit_code = 3
+
 
 class TooManyColumns(GausscovError):
     """The operation's hard column cap was exceeded."""
+
+    exit_code = 3
 
 
 class ColumnBudgetExceeded(GausscovError):
     """A feature expansion would generate more columns than the budget allows."""
 
+    exit_code = 3
+
 
 class InsufficientLength(GausscovError):
     """A series is too short for the requested lag window."""
+
+    exit_code = 3
 
 
 class ParseError(GausscovError):
@@ -54,6 +71,8 @@ class MissingValue(ParseError):
 
 class GenerationFailure(GausscovError):
     """A random-model generator failed to produce a valid instance."""
+
+    exit_code = 3
 
 
 class RatioClampWarning(UserWarning):

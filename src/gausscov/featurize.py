@@ -35,18 +35,18 @@ __all__ = [
     "split_response",
 ]
 
-_NA_TOKENS = {"", "na", "nan", "n/a", "null"}
+_NA_TOKENS = {"", "na", "n/a", "null"}
 
 
 def _parse_cell(text):
-    """Return (value, is_missing)."""
+    """Return the cell's value, nan for a missing value, None for a non-number."""
     s = text.strip()
     if s.lower() in _NA_TOKENS:
-        return 0.0, True
+        return math.nan
     try:
-        return float(s), False
+        return float(s)
     except ValueError:
-        return 0.0, None  # not numeric at all
+        return None
 
 
 def load_csv(path, header=None, delimiter=",", na_policy="reject"):
@@ -64,7 +64,11 @@ def load_csv(path, header=None, delimiter=",", na_policy="reject"):
         'reject' (default) errors on the first missing value with its 1-based
         file coordinates; 'drop' removes rows containing missing values.
 
-    Column names default to x1..xq when there is no header.
+    Cells are read as ``float()`` reads them.  A missing value is an empty or
+    whitespace-only cell, NA, N/A or NULL in any case, or any cell whose text
+    parses to NaN (nan, +nan, -nan).  Errors report the first offender in
+    row-major order; a row's coordinate is the file line it starts on, blank
+    lines included.  Column names default to x1..xq when there is no header.
     """
     if na_policy not in ("reject", "drop"):
         raise DomainError(f"na_policy must be 'reject' or 'drop', got {na_policy!r}")
@@ -73,55 +77,52 @@ def load_csv(path, header=None, delimiter=",", na_policy="reject"):
     # utf-8-sig drops a leading byte-order mark, which would otherwise stick to
     # the first cell
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        rows = [row for row in csv.reader(fh, delimiter=delimiter)]
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows, lines, line = [], [], 1
+        for row in reader:
+            if row:  # blank lines are skipped but still counted
+                rows.append(row)
+                lines.append(line)
+            line = reader.line_num + 1
     if not rows:
         raise ParseError(f"{path}: file is empty")
     width = len(rows[0])
-    for i, r in enumerate(rows):
+    for r, line in zip(rows, lines):
         if len(r) != width:
-            raise ParseError(
-                f"{path}: expected {width} fields, found {len(r)}", row=i + 1
-            )
+            raise ParseError(f"{path}: expected {width} fields, found {len(r)}", row=line)
     names = None
-    body_start = 0
-    if header is True:
-        names = [c.strip() for c in rows[0]]
-        body_start = 1
-    elif header is None:
-        parsed = [_parse_cell(c) for c in rows[0]]
-        if any(flag is None for _, flag in parsed):
-            names = [c.strip() for c in rows[0]]
-            body_start = 1
-    if body_start >= len(rows):
+    if header is True or header is None and any(_parse_cell(c) is None for c in rows[0]):
+        names = [c.strip() for c in rows.pop(0)]
+        del lines[0]
+    if not rows:
         raise ParseError(f"{path}: no data rows")
-    data = np.empty((len(rows) - body_start, width))
-    missing_rows = set()
-    for i, r in enumerate(rows[body_start:]):
-        for jcol, cell in enumerate(r):
-            val, flag = _parse_cell(cell)
-            if flag is None:
-                raise ParseError(
-                    f"{path}: not a number: {cell.strip()!r}",
-                    row=body_start + i + 1,
-                    col=jcol + 1,
-                )
-            if flag:
-                if na_policy == "reject":
-                    raise MissingValue(
-                        f"{path}: missing value",
-                        row=body_start + i + 1,
-                        col=jcol + 1,
-                    )
-                missing_rows.add(i)
-            data[i, jcol] = val
-    if missing_rows:
-        keep = [i for i in range(data.shape[0]) if i not in missing_rows]
-        if not keep:
-            raise ParseError(f"{path}: every row has missing values")
-        data = data[keep]
+    data = np.empty((len(rows), width))
+    bad = None
+    for i, r in enumerate(rows):
+        try:
+            data[i] = r  # numpy reads each cell as float() does
+        except ValueError:
+            values = [_parse_cell(c) for c in r]
+            if None in values:
+                # keep what precedes the non-number for the missing-value check
+                j = values.index(None)
+                data[i] = values[:j] + [0.0] * (width - j)
+                data = data[:i + 1]
+                bad = ParseError(f"{path}: not a number: {r[j].strip()!r}",
+                                 row=lines[i], col=j + 1)
+                break
+            data[i] = values
+    missing = np.isnan(data)
+    if na_policy == "reject" and missing.any():
+        i, j = divmod(int(missing.argmax()), width)
+        raise MissingValue(f"{path}: missing value", row=lines[i], col=j + 1)
+    if bad is not None:
+        raise bad
+    keep = ~missing.any(axis=1)
+    if not keep.any():
+        raise ParseError(f"{path}: every row has missing values")
     try:
-        return DataMatrix(data, names=names, copy=False)
+        return DataMatrix(data if keep.all() else data[keep], names=names, copy=False)
     except DomainError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

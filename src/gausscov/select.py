@@ -100,7 +100,11 @@ class SelectionResult:
     """One selected approximation to the regression.
 
     ``selected`` lists 0-based column indices in stepwise selection order;
-    ``pg`` and ``coefficients`` align with it.  Coefficients (and the intercept)
+    ``pg`` and ``coefficients`` align with it.  ``pg`` is each member's
+    Gaussian P-value as part of the final subset, except when the stepwise set
+    was not refined (more members than ``max_subset_refine``, or
+    ``max_subset_refine=0``): then it is the stepwise ``p_g`` each member had
+    when it entered, as in ``trace``.  Coefficients (and the intercept)
     are reported on the original scale of the data, undoing any recorded
     standardization.  ``trace`` records the stepwise path that produced the
     candidate set, including covariates the refinement later dropped.

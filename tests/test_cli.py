@@ -12,6 +12,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gausscov
+import gausscov.cli
 from gausscov.cli import main
 
 TINY = str(Path(__file__).parent / "data" / "tiny.csv")
@@ -170,6 +172,33 @@ class TestExitCodes:
         code, out, _ = run(capsys)
         assert code == 3
         assert "select" in out and "graph" in out
+
+    # configuration errors exit with 3; parse failures and the rest with 2
+    EXIT_CODES = {
+        "DomainError": 3, "AllColumnsConstant": 3, "TooManyColumns": 3,
+        "ColumnBudgetExceeded": 3, "InsufficientLength": 3, "GenerationFailure": 3,
+        "ParseError": 2, "MissingValue": 2, "CollinearColumn": 2, "NoCandidates": 2,
+        "GausscovError": 2,
+    }
+
+    def test_every_exported_error_has_a_pinned_code(self):
+        exported = {name for name in gausscov.__all__
+                    if isinstance(getattr(gausscov, name), type)
+                    and issubclass(getattr(gausscov, name), gausscov.GausscovError)}
+        assert exported == set(self.EXIT_CODES)
+
+    @pytest.mark.parametrize("name", sorted(EXIT_CODES))
+    def test_error_class_fixes_its_exit_code(self, capsys, monkeypatch, name):
+        cls = getattr(gausscov, name)
+        assert cls.exit_code == self.EXIT_CODES[name]
+
+        def fail(*args, **kwargs):
+            raise cls("boom")
+
+        monkeypatch.setattr(gausscov.cli, "load_csv", fail)
+        code, _, err = run(capsys, "select", TINY)
+        assert code == self.EXIT_CODES[name]
+        assert err == "error: boom\n"
 
 
 class TestGraph:

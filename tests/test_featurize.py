@@ -132,6 +132,69 @@ class TestLoadCsv:
         assert m.names == ["a,x", "b"]
         assert m.values[0, 0] == 1.0
 
+    # '\x1c' is whitespace to str.strip but not to float(), so a row holding
+    # it goes through the per-cell parser instead of numpy's conversion
+    @pytest.mark.parametrize("other", ["1", "\x1c1"])
+    @pytest.mark.parametrize("cell", [" 2 ", "\xa01", "1_000", "+3", ".5", "1E5",
+                                      "-0", "4.9e-324", "\u0661.\u0665"])
+    def test_cells_read_as_float_reads_them(self, tmp_path, cell, other):
+        p = write(tmp_path, f"a,b\n{cell},{other}\n", name="cell.csv")
+        m = load_csv(p)
+        assert m.values[0, 0].tobytes() == np.float64(float(cell)).tobytes()
+        assert m.values[0, 1] == 1.0
+
+    @pytest.mark.parametrize("token", ["", " ", "\t", "NA", "na", "N/A", "n/a",
+                                       "NULL", "null", "nan", "NaN", " NAN "])
+    def test_every_na_spelling_under_both_policies(self, tmp_path, token):
+        p = write(tmp_path, f"a,b\n1,2\n3,{token}\n5,6\n")
+        with pytest.raises(MissingValue) as exc:
+            load_csv(p)
+        assert (exc.value.row, exc.value.col) == (3, 2)
+        assert load_csv(p, na_policy="drop").values.tolist() == [[1.0, 2.0], [5.0, 6.0]]
+
+    @pytest.mark.parametrize("text, reject, drop", [
+        # within a row
+        ("a,b,c\n1,NA,x\n", (MissingValue, 2, 2), (ParseError, 2, 3)),
+        ("a,b,c\n1,x,NA\n", (ParseError, 2, 2), (ParseError, 2, 2)),
+        # across rows, the earlier row converted whole by numpy
+        ("a,b\n1,nan\n2,x\n", (MissingValue, 2, 2), (ParseError, 3, 2)),
+        ("a,b\n1,nan\n2,NA\n", (MissingValue, 2, 2), None),
+        ("a,b\n1,x\n2,NA\n", (ParseError, 2, 2), (ParseError, 2, 2)),
+    ])
+    def test_first_offender_in_row_major_order(self, tmp_path, text, reject, drop):
+        p = write(tmp_path, text)
+        for policy, want in (("reject", reject), ("drop", drop)):
+            if want is None:
+                continue
+            with pytest.raises(ParseError) as exc:
+                load_csv(p, na_policy=policy)
+            assert (type(exc.value), exc.value.row, exc.value.col) == want, policy
+
+    def test_signed_nan_is_a_missing_value(self, tmp_path):
+        p = write(tmp_path, "a,b\n1,2\n3,+nan\n5,-NaN\n7,8\n")
+        with pytest.raises(MissingValue) as exc:
+            load_csv(p)
+        assert (exc.value.row, exc.value.col) == (3, 2)
+        assert load_csv(p, na_policy="drop").values.tolist() == [[1.0, 2.0], [7.0, 8.0]]
+
+    @pytest.mark.parametrize("last, error, col", [
+        ("3,NA", MissingValue, 2),
+        ("3,x", ParseError, 2),
+        ("3", ParseError, None),
+    ])
+    def test_rows_after_a_blank_line_keep_their_file_line(self, tmp_path, last, error, col):
+        p = write(tmp_path, f"a,b\n1,2\n\n{last}\n")
+        with pytest.raises(error) as exc:
+            load_csv(p)
+        assert (exc.value.row, exc.value.col) == (4, col)
+        assert "(row 4" in str(exc.value)
+
+    def test_row_coordinate_is_the_line_a_quoted_multiline_row_starts_on(self, tmp_path):
+        p = write(tmp_path, '"a\nb",c\n1,2\n3,x\n')
+        with pytest.raises(ParseError) as exc:
+            load_csv(p)
+        assert (exc.value.row, exc.value.col) == (4, 2)
+
 
 class TestSplitResponse:
     def test_by_name(self):

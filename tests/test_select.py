@@ -633,7 +633,12 @@ class TestAllSubset:
                 for r in got.results:
                     assert not {a, b} <= set(r.selected), (seed, intercept, r.selected)
 
-    @pytest.mark.parametrize("seed", [42, 135, 308])
+    @pytest.mark.parametrize("seed", [42, 135, 308, *(
+        # the exact-fit floor (1e-12 of the intercept-only rss) takes an
+        # accurate drop-one rss for an exact fit and misses a maximal set
+        pytest.param(seed, marks=pytest.mark.xfail(
+            strict=True, reason="drop-one rss under the exact-fit floor"))
+        for seed in (123, 194, 261))])
     def test_matches_50_digit_search_with_an_ill_conditioned_pair(self, seed):
         # x1 is x0 plus a tiny gap and y holds their difference over the gap,
         # so the pair is significant only jointly and every subset holding it
