@@ -9,6 +9,7 @@ are still reproducible.
 """
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -114,14 +115,15 @@ def _print_select_text(out, aset, meta, seconds, include_timing):
 
 
 def _print_select_csv(out, aset):
-    w = out.write
-    w("approximation,rss,index,name,pg,coefficient\n")
+    w = csv.writer(out, lineterminator="\n")
+    w.writerow(["approximation", "rss", "index", "name", "pg", "coefficient"])
     for rank, r in enumerate(aset.results, start=1):
+        rss = _fmt_float(r.rss)
         for j, name, pg, c in zip(r.selected, r.names, r.pg, r.coefficients):
-            w(f"{rank},{_fmt_float(r.rss)},{j + 1},{name},{_fmt_float(pg)},{_fmt_float(c)}\n")
+            w.writerow([rank, rss, j + 1, name, _fmt_float(pg), _fmt_float(c)])
         if r.intercept_coefficient is not None:
             pf = "" if r.intercept_pg is None else _fmt_float(r.intercept_pg)
-            w(f"{rank},{_fmt_float(r.rss)},0,(intercept),{pf},{_fmt_float(r.intercept_coefficient)}\n")
+            w.writerow([rank, rss, 0, "(intercept)", pf, _fmt_float(r.intercept_coefficient)])
 
 
 def cmd_select(args):
@@ -252,20 +254,20 @@ def _parse_lags(text):
 def _write_design_csv(path, y_name, y, names_iter_blocks):
     """Write the response and then every (names, block) column chunk to CSV.
 
-    All blocks are gathered before the first row is written; the file is not
-    streamed.  Returns the feature names written, in column order.
+    All blocks are gathered before the file is opened, so an error while
+    they are made leaves an existing file as it was.  Returns the feature
+    names written, in column order.
     """
     buf_names = [y_name]
     cols = [np.asarray(y)]
+    for names, block in names_iter_blocks:
+        buf_names.extend(names)
+        cols.extend(block.T)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for names, block in names_iter_blocks:
-            buf_names.extend(names)
-            for c in range(block.shape[1]):
-                cols.append(block[:, c])
-        fh.write(",".join(buf_names) + "\n")
-        rows = len(cols[0])
-        for i in range(rows):
-            fh.write(",".join(_fmt_float(col[i]) for col in cols) + "\n")
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(buf_names)
+        for i in range(len(cols[0])):
+            w.writerow([_fmt_float(col[i]) for col in cols])
     return buf_names[1:]
 
 

@@ -298,13 +298,14 @@ def _monomial_name(names, combo):
 
 
 def interaction_columns(m, spec=None):
-    """Yield the monomial expansion of ``m`` as (names, block) chunks.
+    """The monomial expansion of ``m``, as an iterator of (names, block) chunks.
 
     Blocks hold up to ``spec.chunk`` columns.  Generation order is graded
     lexicographic (degree 1 columns first, each degree in lexicographic order
     of the index multiset), which makes column indices reproducible.  With
     ``spec.dedup`` every column bitwise-identical to an already generated one
-    is silently dropped.
+    is silently dropped.  An expansion over ``spec.max_columns`` raises
+    ColumnBudgetExceeded here, before any block is made.
     """
     if spec is None:
         spec = InteractionSpec()
@@ -314,6 +315,10 @@ def interaction_columns(m, spec=None):
             f"expansion of {m.q} columns to degree {spec.max_degree} has {total} "
             f"monomials, over the budget of {spec.max_columns}"
         )
+    return _interaction_blocks(m, spec)
+
+
+def _interaction_blocks(m, spec):
     seen = set()
     buf = []
     buf_names = []

@@ -336,29 +336,7 @@ def _passing_subsets(fit, p0, q_pool):
 # f1st: stepwise selection + all-subset refinement
 # ---------------------------------------------------------------------------
 
-class _RunLog:
-    """The states of one ``f1st`` run, kept so that another run can resume from them.
-
-    ``states[0]`` is the state after the intercept with the scan cache built;
-    each later entry pairs an accepted step's scanned rss with a fork of the
-    state after that step.  A run given ``parent`` starts from the parent's
-    ``states[0]`` and takes the parent's states up to the first step onto a
-    column it excludes.  That is exact when the parent excluded a subset of
-    what this run excludes: the parent's choices up to there never fell on a
-    column this run excludes, so its scans would have returned the same
-    choices from the same states, and ``extend`` would have built the very
-    states the parent kept.
-    """
-
-    __slots__ = ("parent", "excluded", "states")
-
-    def __init__(self, parent=None):
-        self.parent = parent
-        self.excluded = None
-        self.states = []
-
-
-def f1st(m, y, cfg=None, exclude=(), *, _log=None, _gram=None):
+def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None):
     """Stepwise Gaussian-covariate selection.
 
     Fits the intercept (when configured), then repeatedly adds the candidate
@@ -393,18 +371,17 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None, _gram=None):
     q_pool = m.q - len(excl)
     excl_mask = np.zeros(m.q, dtype=bool)
     excl_mask[list(excl)] = True
-    parent = None if _log is None else _log.parent
-    if parent is not None and parent.excluded <= excl:
-        state = parent.states[0].fork()
-        resumed = itertools.takewhile(lambda rec: not excl_mask[rec[1].selected[-1]],
-                                      parent.states[1:])
-        _log.states = [parent.states[0]]
+    if _steps:
+        state = _steps[0].fork()
     else:
         state = extend_intercept(ResidualState(y)) if cfg.intercept else ResidualState(y)
         if _gram is not None:
             # (G, j): y is column j of m, G = gram(m, centred=cfg.intercept)
             seed_from_gram(state, m, *_gram)
-        resumed = iter(())
+    # _steps[t] is the state after step t of the run this one resumes from;
+    # those steps are retaken unscanned, their rss the one extend took from
+    # the scan, and only their P-values are recomputed for this run's pool
+    retake = len(_steps) - 1 if _steps else 0
     rss_floor = state.rss * _PERFECT_FIT_REL
     trace = []
     while True:
@@ -416,11 +393,9 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None, _gram=None):
             break
         if state.rss <= rss_floor:
             break
-        # a state the parent kept stands in for the scan and the extension
-        rec = next(resumed, None)
-        if rec is not None:
-            rss_cand, after = rec
-            j = after.selected[-1]
+        if k_sel < retake:
+            after = _steps[k_sel + 1]
+            j, rss_cand = after.selected[-1], after.rss
         else:
             try:
                 j, rss_cand = scan_best(state, m, excl_mask)
@@ -430,20 +405,18 @@ def f1st(m, y, cfg=None, exclude=(), *, _log=None, _gram=None):
         p_f = pvalues.pf_from_rss_ratio(ctx, rss_cand, state.rss)
         p_g = pvalues.pg_stepwise(ctx, p_f)
         if k_sel < cfg.kmn or p_g < cfg.p0:
-            if _log is not None and not _log.states:
-                _log.states.append(state.fork())
-            if rec is not None:
+            if k_sel < retake:
                 state = after.fork()
             else:
+                if _steps == []:
+                    # the start of every run that resumes from this one
+                    _steps.append(state.fork())
                 extend(state, m, j)
-            if _log is not None:
-                _log.states.append((rss_cand, state.fork()))
+                if _steps is not None:
+                    _steps.append(state.fork())
             trace.append(TraceStep(j, p_f, p_g, state.rss, forced=p_g >= cfg.p0))
         else:
             break
-    if _log is not None:
-        _log.parent = None
-        _log.excluded = frozenset(excl)
     sel = list(state.selected)
     fit = _Fit(state, sel)
     if sel and len(sel) <= cfg.max_subset_refine:
@@ -546,32 +519,39 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     covariate on top of the base exclusions.  Branches are deduplicated by
     exclusion set, results by selected set; the set is ordered by rss.
 
-    A branch does not start from scratch: it resumes from the run it branched
-    from (the root, when exclusions do not accumulate), taking forks of that
-    run's kept states up to the step that chose a column the branch excludes,
-    and only recomputes their P-values for its smaller competitor pool.  The
-    output is the same as that of running every branch from scratch.
+    A branch does not start from scratch: it resumes from a slice of the
+    states kept by the run it branched from (the root, when exclusions do not
+    accumulate), those up to that run's step onto the covariate the branch
+    excludes.  It retakes their steps without reading the matrix and only
+    recomputes their P-values for its smaller competitor pool.  The output is
+    the same as that of running every branch from scratch.
     """
     if cfg is None:
         cfg = SelectionConfig()
     base = frozenset(_valid_exclusions(m, exclude))
-    root_log = _RunLog()
-    root = f1st(m, y, cfg, exclude=base, _log=root_log)
+    root_steps = []
+    root = f1st(m, y, cfg, exclude=base, _steps=root_steps)
     if not root.selected:
         return ApproximationSet([], [])
     seen_excl = {base}
     found = {frozenset(root.selected): (root, "root")}
-    frontier = [(root, base, root_log)]
+    frontier = [(root, base, root_steps)]
     for depth in range(1, cfg.m + 1):
         nxt = []
-        for res, excl, log in frontier:
+        for res, excl, steps in frontier:
+            src, steps = (res, steps) if accumulate_exclusions else (root, root_steps)
+            cols = [t.index for t in src.trace]
             for i in res.selected:
                 bex = (excl | {i}) if accumulate_exclusions else frozenset(base | {i})
                 if bex in seen_excl or len(bex) >= m.q:
                     continue
                 seen_excl.add(bex)
-                blog = _RunLog(log if accumulate_exclusions else root_log)
-                r2 = f1st(m, y, cfg, exclude=bex, _log=blog)
+                # src excluded a subset of bex, and its steps before any onto i
+                # chose no column of bex: from the same states this branch's
+                # scans would make the same choices and extend would build the
+                # same states, so it retakes them
+                bsteps = steps[:cols.index(i) + 1] if i in cols else steps[:]
+                r2 = f1st(m, y, cfg, exclude=bex, _steps=bsteps)
                 if not r2.selected:
                     continue
                 key = frozenset(r2.selected)
@@ -580,7 +560,7 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
                     found[key] = (r2, f"depth {depth}, excluding {dropped}")
                 # only runs that later branches resume from keep their states
                 keep = accumulate_exclusions and depth < cfg.m
-                nxt.append((r2, bex, blog if keep else None))
+                nxt.append((r2, bex, bsteps if keep else None))
         frontier = nxt
     results = [r for r, _ in found.values()]
     provenance = [p for _, p in found.values()]

@@ -4,6 +4,8 @@ Most tests call ``main(argv)`` in-process for speed; one subprocess test
 confirms the installed console script works at all.
 """
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -80,6 +82,16 @@ class TestSelect:
         body = [ln.split(",") for ln in lines[1:]]
         assert any(row[2] == "1" and row[3] == "x1" for row in body)
         assert any(row[2] == "0" and row[3] == "(intercept)" for row in body)
+
+    def test_csv_quotes_names_with_commas(self, capsys, tmp_path):
+        src = tmp_path / "comma.csv"
+        lines = Path(TINY).read_text().splitlines()
+        src.write_text('y,"a,1",x2,x3,x4,x5\n' + "\n".join(lines[1:]) + "\n")
+        code, out, _ = run(capsys, "select", str(src), "--output", "csv")
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert all(len(row) == 6 for row in rows)
+        assert any(row[2] == "1" and row[3] == "a,1" for row in rows)
 
     def test_response_by_index(self, capsys):
         # the response defaults to the column named y; force column 2 instead
@@ -272,6 +284,36 @@ class TestFeaturize:
         first = [float(v) for v in lines[1].split(",")]
         assert first == [3.0, 2.0, 1.0]
         assert nm.read_text().splitlines()[0] == "1\ts_lag1"
+
+    def test_quoted_names_round_trip(self, capsys, tmp_path):
+        src = tmp_path / "comma.csv"
+        lines = Path(TINY).read_text().splitlines()
+        src.write_text('y,"a,1",x2,x3,x4,x5\n' + "\n".join(lines[1:]) + "\n")
+        out_csv = tmp_path / "lagged.csv"
+        code, _, _ = run(capsys, "featurize", str(src), "--lags", "1",
+                         "--response-var", "y", "--out", str(out_csv))
+        assert code == 0
+        back = gausscov.load_csv(str(out_csv))
+        assert back.names == ["y", "y_lag1", "a,1_lag1", "x2_lag1", "x3_lag1", "x4_lag1",
+                              "x5_lag1"]
+        raw = gausscov.load_csv(str(src))
+        assert np.array_equal(back.values[:, 0], raw.values[1:, 0])
+        assert np.array_equal(back.values[:, 1:], raw.values[:-1])
+        code, _, _ = run(capsys, "select", str(out_csv), "--no-timing")
+        assert code == 0
+
+    def test_interactions_over_budget_leave_the_output_file_alone(self, capsys, tmp_path):
+        # y and ten covariates to degree 12: C(22, 12) - 1 = 646645 monomials
+        src = tmp_path / "wide.csv"
+        rng = np.random.default_rng(5)
+        body = "\n".join(",".join(map(repr, row)) for row in rng.standard_normal((8, 11)).tolist())
+        src.write_text(",".join(["y"] + [f"x{j}" for j in range(1, 11)]) + "\n" + body + "\n")
+        out_csv = tmp_path / "inter.csv"
+        out_csv.write_bytes(b"an earlier design\n")
+        code, _, err = run(capsys, "featurize", str(src), "--interactions", "12",
+                           "--out", str(out_csv))
+        assert code == 3 and "budget" in err
+        assert out_csv.read_bytes() == b"an earlier design\n"
 
     def test_lag_list_syntax(self, capsys, tmp_path):
         src = tmp_path / "series.csv"

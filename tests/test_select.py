@@ -873,6 +873,14 @@ class TestF3stPrefixReuse:
             X[:, 10 + a] = X[:, a] + 0.3 * rng.standard_normal(90)
         return DataMatrix(X), y
 
+    def wide(self):
+        # q > n as in the wide_f3st benchmark, where the start state a branch
+        # reuses carries the one X^T [r | 1] product of the root's first scan
+        rng = np.random.default_rng(7)
+        m, _ = standardize(DataMatrix(rng.standard_normal((60, 400))))
+        y = 2.0 * m.values[:, [3, 50, 120, 250, 390]].sum(axis=1) + rng.standard_normal(60)
+        return m, y
+
     def forced_flips(self):
         # kmn=3 forces steps whose p_g sits just above p0; with one competitor
         # fewer, a replayed step's p_g drops below p0 and it is no longer forced
@@ -905,9 +913,9 @@ class TestF3stPrefixReuse:
         return got
 
     @pytest.mark.parametrize("accumulate", [True, False])
-    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("seed", [0, 1, "wide"])
     def test_byte_identical_to_from_scratch_branches(self, seed, accumulate, monkeypatch):
-        m, y = self.four_signals(seed)
+        m, y = self.wide() if seed == "wide" else self.four_signals(seed)
         self.assert_same_as_from_scratch(m, y, SelectionConfig(m=2), accumulate, monkeypatch)
 
     @pytest.mark.parametrize("accumulate", [True, False])
