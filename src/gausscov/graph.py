@@ -3,8 +3,9 @@
 Each column of the data is regressed on all the others with ``f1st``; the
 selected covariates become the node's outgoing directed edges, each carrying
 its Gaussian P-value.  An undirected graph follows by the "or" rule (an edge
-when either direction was selected) or the stricter "and" rule.  Nodes run one
-after another and their edges merge in node order.
+when either direction was selected) or the stricter "and" rule.  The nodes'
+stepwise passes run one after another, their subset refinements run together
+in one batch, and their edges merge in node order.
 
 Also provides a seeded random-graph generator (geometric Gaussian graphical
 model with bounded degree) and fp/fn scoring against its ground truth.
@@ -20,7 +21,7 @@ from scipy.linalg import solve_triangular
 from .errors import DomainError, GenerationFailure
 from .matrix import DataMatrix, gram, standardize
 from .parallel import ordered_map
-from .select import SelectionConfig, f1st
+from .select import SelectionConfig, _refine, f1st
 
 __all__ = [
     "GraphResult",
@@ -84,6 +85,11 @@ def fgr1st(m, cfg=None, rule="or"):
     node regression scans and extends from it without a pass over the data.
     Each node's basis and residual are still built on the n rows, and its
     reported fit is read from the stepwise state, as in ``f1st``.
+
+    Each node runs only ``f1st``'s stepwise pass; the passes of all nodes are
+    then refined together, so their subset searches and reported fits take
+    one batched QR per problem shape rather than several per node.  The
+    result is the same, bit for bit, as running ``f1st`` on each node.
     """
     if cfg is None:
         cfg = SelectionConfig()
@@ -97,11 +103,14 @@ def fgr1st(m, cfg=None, rule="or"):
 
     def run_node(j):
         y = np.array(m.col(j))
-        r = f1st(m, y, cfg, exclude=(j,), _gram=None if g is None else (g, j))
-        return [(j, i, pg) for i, pg in zip(r.selected, r.pg)]
+        return f1st(m, y, cfg, exclude=(j,), _gram=None if g is None else (g, j),
+                    _stepwise=True)
 
-    per_node = ordered_map(run_node, range(m.q))
-    directed = [e for sub in per_node for e in sub]
+    per_node = _refine(m, ordered_map(run_node, range(m.q)), cfg)
+    # one int object per node, shared by every edge that names it
+    nodes = list(range(m.q))
+    directed = [(nodes[j], nodes[i], pg)
+                for j, r in enumerate(per_node) for i, pg in zip(r.selected, r.pg)]
     return GraphResult(
         p=m.q,
         names=list(m.names),
@@ -130,7 +139,7 @@ def undirected_to_csv(g, path):
 def graph_to_dot(g, path, directed=False):
     """Write the graph in DOT format, naming nodes by their column names."""
     def q(s):
-        return '"' + s.replace('"', r'\"') + '"'
+        return '"' + s.replace("\\", "\\\\").replace('"', r'\"') + '"'
 
     lines = []
     if directed:

@@ -17,6 +17,7 @@ ever estimated.
 """
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,6 +200,31 @@ def _valid_exclusions(m, exclude):
     return excl
 
 
+def _cat(arrays):
+    """The arrays joined along their first axis; a single one as it is, uncopied."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _chunks(sizes, cap):
+    """Runs of at most ``cap`` consecutive rows of items with ``sizes`` rows each.
+
+    Yields each run as a list of (item, lo, hi): rows lo..hi of that item.
+    """
+    run, room = [], cap
+    for u, b in enumerate(sizes):
+        lo = 0
+        while lo < b:
+            hi = min(b, lo + room)
+            run.append((u, lo, hi))
+            room -= hi - lo
+            lo = hi
+            if not room:
+                yield run
+                run, room = [], cap
+    if run:
+        yield run
+
+
 class _Fit:
     """The R factor of a design A = [1 | X[:, cols]], from which every subset fit is read.
 
@@ -207,47 +233,104 @@ class _Fit:
     per column of A, and fewer rows when some lie in the span of the columns
     before them.  The least-squares fit on any set S of A's columns has the
     coefficients of min_b |c - R[:, S] b| and rss rss0 plus that minimum, so
-    subset fits are small problems that never touch the n rows.  ``rss`` is
-    the one routine that solves them: the subset search scores its subsets
-    with it and a reported result reads its rss, coefficients and drop-one
-    rss from it, so both see the same numbers.  Covariates are addressed by
-    their positions in ``cols``; the intercept, when fitted, is A's first
-    column and term 0.
+    subset fits are small problems that never touch the n rows.  A fit keeps
+    only R (as R^T), c, rss0 and the squared column norms of R, not the state
+    or its n-row basis.  ``rss`` is the one routine that solves the subset problems:
+    the subset search scores its subsets with it and a reported result reads
+    its rss, coefficients and drop-one rss from it, so both see the same
+    numbers.  Covariates are addressed by their positions in ``cols``; the
+    intercept, when fitted, is A's first column and term 0.
     """
+
+    __slots__ = ("n", "cols", "p", "rt", "c", "off", "rss0", "norm2", "tss", "floor")
 
     def __init__(self, state, cols):
         self.n = state.n
         self.cols = list(cols)
-        self.r, self.c = state.factor()
-        self.off = self.r.shape[1] - len(self.cols)
-        self.rss0 = state.rss
-        self.norm2 = np.einsum("ij,ij->j", self.r, self.r)
+        r, c = state.factor()
+        self.p, w = r.shape
+        self.off = w - len(self.cols)
+        # R^T and c, zero-padded to the most rows a subset problem can have
+        self.rt = np.zeros((w, max(self.p, w + 1)))
+        self.rt[:, :self.p] = r.T
+        self.c = np.zeros(self.rt.shape[1])
+        self.c[:self.p] = c
+        # an array, so that the rss0 of many fits join like their other parts
+        self.rss0 = np.array([state.rss])
+        self.norm2 = np.einsum("ij,ij->j", r, r)
         # rss after the intercept alone (y.y without it), and the level at or
         # below which an rss is rounding noise, as in stepwise: the fit is exact
-        c = self.c[self.off:]
-        self.tss = self.rss0 + float(c @ c)
+        c = c[self.off:]
+        self.tss = state.rss + float(c @ c)
         self.floor = _PERFECT_FIT_REL * self.tss
 
-    def rss(self, idx):
-        """(rss, valid, F) of the fits on A's columns ``idx``, a (B, s) int array.
+    @staticmethod
+    def rss(jobs, factors=False):
+        """(rss, valid, F) of each job (fit, idx), for the fits on A's columns ``idx``.
 
-        F stacks the R factors of [R[:, S] | c], each padded with zero rows to
-        s + 1 so that it is square.  The rss is rss0 + F[s, s]^2, from c's
+        ``idx`` is a (B, s) int array of columns of the job's fit.  F stacks
+        the R factors of [R[:, S] | c], each padded with zero rows to s + 1 so
+        that it is square.  The rss is rss0 + F[s, s]^2, from c's
         component outside span(R[:, S]), not from |c - R beta|, whose error
         grows with the condition number; F[:s, :s] beta = F[:s, s] gives the
         coefficients.  A fit is valid when every term keeps more than
         ``COLLINEARITY_TOL`` of its squared norm orthogonal to the terms before
-        it, as in stepwise.
+        it, as in stepwise.  F is returned only with ``factors``, else None.
+
+        The problems of all jobs are grouped by their shape, R's rows (at least
+        s + 1) by s + 1, and each group is factored by one batched QR per
+        ``_BATCH`` problems, a chunk that may span jobs.  The batched QR
+        factors each matrix on its own, so every number is the same bits
+        whatever else shares its batch.
         """
-        b, s = idx.shape
-        p = self.r.shape[0]
-        a = np.zeros((b, max(p, s + 1), s + 1))
-        a[:, :p, :s] = self.r.T[idx].swapaxes(1, 2)
-        a[:, :p, s] = self.c
-        f = np.linalg.qr(a, mode="r")
-        d = np.diagonal(f, axis1=1, axis2=2) ** 2
-        valid = (d[:, :s] > COLLINEARITY_TOL * self.norm2[idx]).all(axis=1)
-        return self.rss0 + d[:, s], valid, f
+        groups = {}
+        for j, (fit, idx) in enumerate(jobs):
+            s = idx.shape[1]
+            groups.setdefault((max(fit.p, s + 1), s + 1), []).append(j)
+        out = [None] * len(jobs)
+        for (rows, cols), members in groups.items():
+            s = cols - 1
+            fits, slot = [], {}
+            for j in members:
+                if id(jobs[j][0]) not in slot:
+                    slot[id(jobs[j][0])] = len(fits)
+                    fits.append(jobs[j][0])
+            # the group's fits one above the other: column i of the t-th
+            # fit's R is row base[t] + i of rt, and its c is row t of ct
+            base = list(itertools.accumulate((len(fit.rt) for fit in fits), initial=0))
+            rt = _cat([fit.rt[:, :rows] for fit in fits])
+            ct = _cat([fit.c[None, :rows] for fit in fits])
+            rss0 = _cat([fit.rss0 for fit in fits])
+            norm2 = _cat([fit.norm2 for fit in fits])
+            total = sum(len(jobs[j][1]) for j in members)
+            rss, valid = np.empty(total), np.empty(total, dtype=bool)
+            fs = np.empty((total, cols, cols)) if factors else None
+            row = 0
+            for j in members:
+                end = row + len(jobs[j][1])
+                out[j] = rss[row:end], valid[row:end], None if fs is None else fs[row:end]
+                row = end
+            row = 0
+            for chunk in _chunks([len(jobs[j][1]) for j in members], _BATCH):
+                owner = [slot[id(jobs[members[u]][0])] for u, _, _ in chunk]
+                parts = [jobs[members[u]][1][lo:hi] + base[t]
+                         for (u, lo, hi), t in zip(chunk, owner)]
+                gidx = _cat(parts)
+                # the fit of each problem; one fit's c and rss0 broadcast
+                which = owner[0] if len(owner) == 1 else np.repeat(
+                    owner, [hi - lo for _, lo, hi in chunk])
+                a = np.empty((len(gidx), rows, cols))
+                a[:, :, :s] = rt[gidx].swapaxes(1, 2)
+                a[:, :, s] = ct[which]
+                f = np.linalg.qr(a, mode="r")
+                d = np.diagonal(f, axis1=1, axis2=2) ** 2
+                end = row + len(gidx)
+                rss[row:end] = rss0[which] + d[:, s]
+                valid[row:end] = (d[:, :s] > COLLINEARITY_TOL * norm2[gidx]).all(axis=1)
+                if factors:
+                    fs[row:end] = f
+                row = end
+        return out
 
     def pf(self, ctx, rss, rss_wo):
         """P_F of a term whose removal leaves ``rss_wo``; 1.0 when that fit is already exact."""
@@ -256,87 +339,157 @@ class _Fit:
         return pvalues.pf_from_rss_ratio(ctx, rss, rss_wo)
 
 
-def _build_result(m, fit, pos, q_pool, trace=(), pg=None):
-    """Assemble a SelectionResult for covariate positions ``pos`` of ``fit``.
+@dataclass(slots=True)
+class _Pass:
+    """A finished stepwise pass: the fit of its selected set, its trace and its competitor pool.
 
-    The member P-values are the all-subset ones unless ``pg`` gives them.
-    Coefficients are reported on the original scale of the data.
+    The pass keeps no ``ResidualState``, so many passes hold no n-row arrays
+    while they wait to be refined together.
     """
-    sel = [fit.cols[i] for i in pos]
-    idx = np.array(list(range(fit.off)) + [i + fit.off for i in pos], dtype=np.intp)
-    s = idx.size
-    rss, _, f = fit.rss(idx[None])
-    rss, f = float(rss[0]), f[0]
-    beta = solve_triangular(f[:s, :s], f[:s, s])
-    # every term's drop-one rss, from one batch of leave-one-out fits
-    loo = np.broadcast_to(idx, (s, s))[~np.eye(s, dtype=bool)].reshape(s, max(s - 1, 0))
-    rss_drop = fit.rss(loo)[0].tolist()
-    # a fit with no term at all tests nothing
-    ctx = pvalues.PvalueContext(fit.n, s, q_pool - len(sel)) if s else None
-    if pg is None:
-        pg = [pvalues.pg_all_subset(ctx, fit.pf(ctx, rss, r)) for r in rss_drop[fit.off:]]
-    # undo recorded rescaling: stored = (raw - offset)/scale
-    coefs = []
-    shift_total = 0.0
-    for b, j in zip(beta[fit.off:], sel):
-        c = float(b) / float(m.scales[j])
-        coefs.append(c)
-        shift_total += c * float(m.offsets[j])
-    intercept_coef = None
-    intercept_pg = None
-    if fit.off:
-        intercept_coef = float(beta[0]) - shift_total
-        intercept_pg = fit.pf(ctx, rss, rss_drop[0])
-    return SelectionResult(
-        selected=sel,
-        pg=list(pg),
-        coefficients=coefs,
-        rss=rss,
-        intercept_coefficient=intercept_coef,
-        intercept_pg=intercept_pg,
-        trace=list(trace),
-        n=fit.n,
-        q_pool=q_pool,
-        names=[m.names[j] for j in sel],
-    )
+
+    fit: _Fit
+    trace: list
+    q_pool: int
 
 
-def _passing_subsets(fit, p0, q_pool):
-    """Subsets of the fit's covariates whose every member passes the membership test.
+def _build_results(m, items):
+    """Yield a SelectionResult for each item (fit, pos, q_pool, trace, pg).
 
-    Yields (rss, size, positions) for each subset small enough to leave two
-    residual degrees of freedom.  Every subset keeps the intercept when it is
-    fitted.  Sizes are scored in increasing order, and each subset's rss is
-    kept at its bit mask, so a member's drop-one rss is the entry at the mask
-    without that member's bit, scored one size earlier.
+    Each reports the fit on covariate positions ``pos`` of ``fit``.  The
+    member P-values are the all-subset ones unless ``pg`` gives them.
+    Coefficients are reported on the original scale of the data.  The fits
+    of all items are solved in one call of ``_Fit.rss``, and their
+    leave-one-out fits in another; results are assembled one at a time, so
+    a caller that keeps only part of each holds no list of them.
     """
-    k = len(fit.cols)
-    lead = np.arange(fit.off)
-    rss_at = np.empty(1 << k)
-    rss_at[0] = fit.rss(lead[None])[0][0]
-    for s in range(1, min(k, fit.n - fit.off - 2) + 1):
-        pf_thr = pvalues.pf_threshold(p0, q_pool - s + 1)
-        x_thr = pvalues.beta_cdf_inv((fit.n - s - fit.off) / 2.0, 0.5, pf_thr)
-        combos = np.array(list(itertools.combinations(range(k), s)), dtype=np.intp)
-        for lo in range(0, len(combos), _BATCH):
-            chunk = combos[lo:lo + _BATCH]
-            rss, ok, _ = fit.rss(np.hstack([np.broadcast_to(lead, (len(chunk), fit.off)),
-                                            chunk + fit.off]))
-            bits = 1 << chunk
-            mask = bits.sum(axis=1)
-            rss_at[mask] = rss
-            rss_minus = rss_at[mask[:, None] ^ bits]
-            keep = (ok & (rss_minus > fit.floor).all(axis=1)
-                    & (rss < x_thr * rss_minus.min(axis=1)))
-            for b in np.flatnonzero(keep):
-                yield float(rss[b]), s, tuple(chunk[b])
+    fits, drops, loo = [], [], {}
+    for fit, pos, *_ in items:
+        idx = np.array([list(range(fit.off)) + [i + fit.off for i in pos]], dtype=np.intp)
+        s = idx.shape[1]
+        if s not in loo:
+            loo[s] = np.broadcast_to(np.arange(s), (s, s))[~np.eye(s, dtype=bool)].reshape(
+                s, max(s - 1, 0))
+        fits.append((fit, idx))
+        # every term's drop-one rss, from one batch of leave-one-out fits
+        drops.append((fit, idx[0, loo[s]]))
+    for (fit, pos, q_pool, trace, pg), (rss, _, f), (rss_drop, _, _) in zip(
+            items, _Fit.rss(fits, factors=True), _Fit.rss(drops)):
+        sel = [fit.cols[i] for i in pos]
+        s = fit.off + len(pos)
+        rss, f = float(rss[0]), f[0]
+        beta = solve_triangular(f[:s, :s], f[:s, s])
+        rss_drop = rss_drop.tolist()
+        # a fit with no term at all tests nothing
+        ctx = pvalues.PvalueContext(fit.n, s, q_pool - len(sel)) if s else None
+        if pg is None:
+            pg = [pvalues.pg_all_subset(ctx, fit.pf(ctx, rss, r)) for r in rss_drop[fit.off:]]
+        # undo recorded rescaling: stored = (raw - offset)/scale
+        coefs = []
+        shift_total = 0.0
+        for b, j in zip(beta[fit.off:], sel):
+            c = float(b) / float(m.scales[j])
+            coefs.append(c)
+            shift_total += c * float(m.offsets[j])
+        intercept_coef = None
+        intercept_pg = None
+        if fit.off:
+            intercept_coef = float(beta[0]) - shift_total
+            intercept_pg = fit.pf(ctx, rss, rss_drop[0])
+        yield SelectionResult(
+            selected=sel,
+            pg=list(pg),
+            coefficients=coefs,
+            rss=rss,
+            intercept_coefficient=intercept_coef,
+            intercept_pg=intercept_pg,
+            trace=list(trace),
+            n=fit.n,
+            q_pool=q_pool,
+            names=[m.names[j] for j in sel],
+        )
+
+
+def _passing_subsets(jobs, p0):
+    """Subsets of each job's fit whose every member passes the membership test.
+
+    ``jobs`` lists (fit, q_pool) pairs.  Yields (job, rss, size, positions)
+    for each subset small enough to leave two residual degrees of freedom.
+    Every subset keeps the intercept when it is fitted.  Fits with the same
+    number of covariates k, intercept and n are searched together: sizes in
+    increasing order, one size's subsets of every such fit scored in one call
+    of ``_Fit.rss``.  Each fit's row of a table keeps each subset's rss at its
+    bit mask, so a member's drop-one rss is the entry at the mask without
+    that member's bit, scored one size earlier.
+    """
+    groups = {}
+    for i, (fit, _) in enumerate(jobs):
+        groups.setdefault((len(fit.cols), fit.off, fit.n), []).append(i)
+    for (k, off, n), members in groups.items():
+        fits = [jobs[i][0] for i in members]
+        q_pools = [jobs[i][1] for i in members]
+        floor = np.array([fit.floor for fit in fits])[:, None, None]
+        rss_at = np.empty((len(members), 1 << k))
+        for s in range(min(k, n - off - 2) + 1):
+            count = math.comb(k, s)
+            flat = itertools.chain.from_iterable(itertools.combinations(range(k), s))
+            combos = np.fromiter(flat, np.intp, count * s).reshape(count, s)
+            idx = np.empty((count, off + s), dtype=np.intp)
+            idx[:, :off] = np.arange(off)
+            idx[:, off:] = combos + off
+            scored = _Fit.rss([(fit, idx) for fit in fits])
+            rss = np.array([r for r, _, _ in scored])
+            if not s:
+                rss_at[:, 0] = rss[:, 0]
+                continue
+            ok = np.array([v for _, v, _ in scored])
+            thr = {q: pvalues.beta_cdf_inv((n - s - off) / 2.0, 0.5,
+                                           pvalues.pf_threshold(p0, q - s + 1))
+                   for q in set(q_pools)}
+            x_thr = np.array([thr[q] for q in q_pools])[:, None]
+            for lo in range(0, count, _BATCH):
+                chunk, rss_c = combos[lo:lo + _BATCH], rss[:, lo:lo + _BATCH]
+                bits = 1 << chunk
+                mask = bits.sum(axis=1)
+                rss_at[:, mask] = rss_c
+                rss_minus = rss_at[:, mask[:, None] ^ bits]
+                keep = (ok[:, lo:lo + _BATCH] & (rss_minus > floor).all(axis=2)
+                        & (rss_c < x_thr * rss_minus.min(axis=2)))
+                for t, b in zip(*np.nonzero(keep)):
+                    yield members[t], float(rss_c[t, b]), s, tuple(chunk[b])
+
+
+def _refine(m, passes, cfg):
+    """Yield the SelectionResult of each finished stepwise pass, all refined together.
+
+    A pass whose set has at most ``cfg.max_subset_refine`` members reports
+    the least-rss subset of it whose every member passes the all-subset
+    membership test at ``cfg.p0`` (or none); any other pass reports its
+    stepwise set with the stepwise P-values.  Passes with as many members
+    are searched together and all reported fits are solved together, so
+    ``_Fit.rss`` runs one batched QR per problem shape, not several per pass.
+    """
+    search = [i for i, p in enumerate(passes) if 0 < len(p.fit.cols) <= cfg.max_subset_refine]
+    best = {}
+    for b, *hit in _passing_subsets([(passes[i].fit, passes[i].q_pool) for i in search], cfg.p0):
+        i, hit = search[b], tuple(hit)
+        if i not in best or hit < best[i]:
+            best[i] = hit
+    refined = set(search)
+    items = []
+    for i, p in enumerate(passes):
+        if i in refined:
+            items.append((p.fit, list(best[i][2]) if i in best else [], p.q_pool, p.trace, None))
+        else:
+            items.append((p.fit, list(range(len(p.fit.cols))), p.q_pool, p.trace,
+                          [t.p_g for t in p.trace]))
+    return _build_results(m, items)
 
 
 # ---------------------------------------------------------------------------
 # f1st: stepwise selection + all-subset refinement
 # ---------------------------------------------------------------------------
 
-def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None):
+def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False):
     """Stepwise Gaussian-covariate selection.
 
     Fits the intercept (when configured), then repeatedly adds the candidate
@@ -346,6 +499,14 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None):
     stepwise set has at most ``cfg.max_subset_refine`` members, an exhaustive
     search over its subsets then returns the least-rss subset whose every
     member passes the all-subset membership test at ``p0``.
+
+    The stepwise pass and the refinement are separate stages: the pass ends
+    with the R factor of its selected set (a ``_Fit``), its trace and its
+    competitor pool, and drops its n-row state; the refinement takes a list
+    of such passes and solves all their subset fits together (``_refine``).
+    ``f1st`` refines a list of one.  Callers with many responses, such as
+    ``fgr1st``, pass ``_stepwise=True`` to get the finished pass instead and
+    refine every pass in one call.
 
     Parameters
     ----------
@@ -417,14 +578,8 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None):
             trace.append(TraceStep(j, p_f, p_g, state.rss, forced=p_g >= cfg.p0))
         else:
             break
-    sel = list(state.selected)
-    fit = _Fit(state, sel)
-    if sel and len(sel) <= cfg.max_subset_refine:
-        # the least-rss passing subset, or none
-        best = min(_passing_subsets(fit, cfg.p0, q_pool), default=(0.0, 0, ()))
-        return _build_result(m, fit, list(best[2]), q_pool, trace)
-    return _build_result(m, fit, list(range(len(sel))), q_pool, trace,
-                         pg=[t.p_g for t in trace])
+    done = _Pass(_Fit(state, state.selected), trace, q_pool)
+    return done if _stepwise else next(_refine(m, [done], cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +613,8 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
         except CollinearColumn:
             _record_in_span(state, m.col(j))
     fit = _Fit(state, cand)
-    retained = sorted(_passing_subsets(fit, cfg.p0, q_pool), key=lambda r: (-r[1], r[0], r[2]))
+    retained = sorted((hit for _, *hit in _passing_subsets([(fit, q_pool)], cfg.p0)),
+                      key=lambda r: (-r[1], r[0], r[2]))
     # drop retained subsets contained in a larger retained subset
     maximal = []
     masks = []
@@ -469,7 +625,8 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
         masks.append(mask)
         maximal.append((rss, s, combo))
     maximal.sort(key=lambda r: (r[0], r[1], r[2]))
-    results = [_build_result(m, fit, list(combo), q_pool) for _, _, combo in maximal]
+    results = list(_build_results(m, [(fit, list(combo), q_pool, (), None)
+                                      for _, _, combo in maximal]))
     return ApproximationSet(results, ["all-subset"] * len(results))
 
 

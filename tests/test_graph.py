@@ -1,6 +1,7 @@
 """Tests for dependency-graph estimation and the random graphical models."""
 
 import json
+import re
 import threading
 
 import numpy as np
@@ -134,6 +135,28 @@ class TestFgr1st:
         assert calls == [(threading.get_ident(), x) for x in (5, 3, 8, 1)]
         assert ordered_map(square, []) == []
 
+    def test_node_fits_are_refined_in_one_batch(self, monkeypatch):
+        # every node's subset search and reported fit share one batched QR per
+        # problem shape: the QR calls stay fewer than the nodes and do not
+        # grow with them
+        counts = {}
+        for p in (40, 80):
+            _, prec = random_graph_model(p, 3)
+            x = _sample_from_precision(prec, 300, np.random.Generator(np.random.Philox(5)))
+            qr, rows = np.linalg.qr, []
+
+            def counting(a, *args, **kwargs):
+                rows.append(np.shape(a)[-2])
+                return qr(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "qr", counting)
+            g = fgr1st(DataMatrix(x))
+            monkeypatch.undo()
+            assert len(g.directed) > p
+            counts[p] = len(rows)
+        assert 0 < counts[40] < 40 and counts[80] < 80
+        assert counts[80] < 1.5 * counts[40]
+
     def test_to_dict_one_based(self):
         m = chain_data(n=150, p=3, seed=5)
         d = fgr1st(m).to_dict()
@@ -188,6 +211,28 @@ class TestGraphOutput:
         path = tmp_path / "g.dot"
         graph_to_dot(g, path)
         assert r'"wei\"rd"' in path.read_text()
+
+
+    def test_dot_escapes_backslashes_in_names(self, tmp_path):
+        # DOT reads \\ and \" inside a quoted ID as pairs, so a name ending in a
+        # backslash must not escape the quote that closes it
+        rng = np.random.default_rng(32)
+        x0 = rng.standard_normal(200)
+        x1 = x0 + 0.5 * rng.standard_normal(200)
+        x2 = x1 + 0.5 * rng.standard_normal(200)
+        names = ["a\\", 'b"', "c"]
+        g = fgr1st(DataMatrix(np.column_stack([x0, x1, x2]), names=names))
+        quoted = r'"((?:\\.|[^"\\])*)"'
+        for directed, edge, want in [(False, "ID -- ID;", g.undirected),
+                                     (True, "ID -> ID [label=ID];", g.directed)]:
+            path = tmp_path / "g.dot"
+            graph_to_dot(g, path, directed=directed)
+            lines = path.read_text().splitlines()[1:-1]
+            assert len(lines) == len(want) >= 2
+            for line, (a, b, *_) in zip(lines, want):
+                assert re.sub(quoted, "ID", line).strip() == edge
+                ids = [re.sub(r"\\(.)", r"\1", t) for t in re.findall(quoted, line)]
+                assert ids[:2] == [names[a], names[b]]
 
 
 class TestRandomGraphModel:

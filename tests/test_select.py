@@ -8,6 +8,7 @@ scipy's regularized incomplete beta, which `test_pvalues.py` checks against
 mpmath.
 """
 
+import dataclasses
 import itertools
 import json
 import warnings
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc as sp_betainc
 
+import gausscov.select as select
 from gausscov import (
     DataMatrix,
     DomainError,
@@ -25,6 +27,7 @@ from gausscov import (
     f1st,
     f2st,
     f3st,
+    fgr1st,
     standardize,
 )
 from gausscov.matrix import gram
@@ -581,6 +584,64 @@ class TestGramSeed:
             want = centred_qr_trace_pf(X, y, sel, q)
             for r in (plain, seeded):
                 assert [t.p_f for t in r.trace] == pytest.approx(want, rel=1e-8, abs=0.0)
+
+
+class TestBatchRefinement:
+    """Stepwise passes refined together, each getting the result f1st gives it alone."""
+
+    @pytest.mark.parametrize("max_subset_refine", [2, 20])
+    @pytest.mark.parametrize("q", [8, 12], ids=["gram", "data"])
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_mixed_batch_equals_each_f1st(self, intercept, q, max_subset_refine):
+        # q <= n: the node passes scan from the Gram matrix; q > n: from the data
+        n = 9
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((n, q))
+        X[:, 4] = X[:, 0] + X[:, 1] - X[:, 2] + 0.01 * rng.standard_normal(n)
+        X[:, 5] = X[:, 3] + 0.01 * rng.standard_normal(n)
+        m = DataMatrix(X)
+        g = gram(m, centred=intercept) if q <= n else None
+        cfg = SelectionConfig(max_subset_refine=max_subset_refine, intercept=intercept)
+        passes, alone = [], []
+        # (node, kmn): free and forced passes of different sizes, a node with
+        # nothing to find, and one forced up to the largest set that leaves
+        # two residual degrees of freedom
+        for j, kmn in [(4, 3), (5, 0), (7, 0), (6, 2), (0, 4), (1, n)]:
+            node_cfg = dataclasses.replace(cfg, kmn=kmn)
+            kw = {"exclude": (j,), "_gram": None if g is None else (g, j)}
+            passes.append(f1st(m, m.col(j), node_cfg, _stepwise=True, **kw))
+            alone.append(f1st(m, m.col(j), node_cfg, **kw))
+        sizes = [len(p.trace) for p in passes]
+        assert 0 in sizes and len(set(sizes)) >= 4
+        assert n - intercept - 2 in sizes
+        if max_subset_refine == 2:
+            # some passes are too large to refine and keep their stepwise sets
+            assert max(sizes) > max_subset_refine
+        assert list(select._refine(m, passes, cfg)) == alone
+
+    def test_small_batches_change_nothing(self, monkeypatch):
+        # with 7 problems per QR call, the shape groups of the graph's node
+        # fits are cut into chunks that span fits; each fit must get its own
+        # rows back in order
+        rng = np.random.default_rng(83)
+        cols = [rng.standard_normal(60)]
+        for _ in range(29):
+            cols.append(0.7 * cols[-1] + rng.standard_normal(60))
+        X = np.column_stack(cols)
+        m = DataMatrix(X)
+        y = X[:, [2, 9, 17, 25]] @ [1.0, -0.8, 0.6, 0.5] + rng.standard_normal(60)
+        # ten rows cap the subset sizes of a 12-column search at 7
+        small = DataMatrix(X[:10, :12])
+
+        def run():
+            return (fgr1st(m), f1st(m, y, SelectionConfig(kmn=6)),
+                    all_subset_select(m, y, exclude=range(12, 30)),
+                    all_subset_select(small, y[:10]))
+
+        want = run()
+        assert want[0].directed and len(want[1].trace) >= 6 and len(want[2])
+        monkeypatch.setattr(select, "_BATCH", 7)
+        assert run() == want
 
 
 # ---------------------------------------------------------------------------
