@@ -153,7 +153,6 @@ def split_response(m, which):
         names=[m.names[c] for c in rest_cols],
         offsets=m.offsets[rest_cols],
         scales=m.scales[rest_cols],
-        standardized=m.standardized[rest_cols],
         copy=False,
     )
     return y, rest, m.names[j]

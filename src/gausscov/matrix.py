@@ -75,11 +75,9 @@ class DataMatrix:
     be reported on the original scale.
     """
 
-    __slots__ = ("values", "n", "q", "names", "offsets", "scales", "standardized",
-                 "_norm2", "_centred_norm2")
+    __slots__ = ("values", "n", "q", "names", "offsets", "scales", "_norm2", "_centred_norm2")
 
-    def __init__(self, values, names=None, offsets=None, scales=None,
-                 standardized=None, copy=True):
+    def __init__(self, values, names=None, offsets=None, scales=None, copy=True):
         arr = np.asarray(values, dtype=np.float64)
         if arr.ndim != 2:
             raise DomainError(f"matrix must be 2-D, got shape {arr.shape}")
@@ -103,9 +101,6 @@ class DataMatrix:
         self.scales = np.ones(self.q) if scales is None else np.asarray(scales, float)
         if self.offsets.shape != (self.q,) or self.scales.shape != (self.q,):
             raise DomainError("offsets/scales must have one entry per column")
-        if standardized is None:
-            standardized = np.zeros(self.q, dtype=bool)
-        self.standardized = np.asarray(standardized, bool)
         self._norm2 = None
         self._centred_norm2 = None
 
@@ -145,14 +140,17 @@ class DataMatrix:
 def standardize(m):
     """Center and scale columns to mean 0 and unit sample variance (ddof=1).
 
-    Constant columns pass through unchanged and are reported.  Returns
-    ``(standardized DataMatrix, list of constant column indices)``.
+    Constant columns pass through unchanged and are reported.  A column is
+    constant when its sample sd is at most 1e-13 of the magnitude of its mean
+    (a column of zeros is too): the test is relative, so it gives the same
+    answer at every scale.  Returns ``(standardized DataMatrix, list of
+    constant column indices)``.
     """
     if m.n < 2:
         raise DomainError("standardization needs at least 2 rows")
     means = m.values.mean(axis=0)
     sds = m.values.std(axis=0, ddof=1)
-    const = sds <= _CONST_SD_TOL * np.maximum(1.0, np.abs(means))
+    const = sds <= _CONST_SD_TOL * np.abs(means)
     if const.all():
         raise AllColumnsConstant("every column is constant")
     shift = np.where(const, 0.0, means)
@@ -160,14 +158,12 @@ def standardize(m):
     out = np.empty(m.values.shape, dtype=np.float64, order="F")
     np.subtract(m.values, shift, out=out)
     np.divide(out, scale, out=out)
-    flags = m.standardized | ~const
     return (
         DataMatrix(
             out,
             names=m.names,
             offsets=m.offsets + m.scales * shift,
             scales=m.scales * scale,
-            standardized=flags,
             copy=False,
         ),
         [int(j) for j in np.flatnonzero(const)],

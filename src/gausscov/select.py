@@ -205,26 +205,6 @@ def _cat(arrays):
     return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-def _chunks(sizes, cap):
-    """Runs of at most ``cap`` consecutive rows of items with ``sizes`` rows each.
-
-    Yields each run as a list of (item, lo, hi): rows lo..hi of that item.
-    """
-    run, room = [], cap
-    for u, b in enumerate(sizes):
-        lo = 0
-        while lo < b:
-            hi = min(b, lo + room)
-            run.append((u, lo, hi))
-            room -= hi - lo
-            lo = hi
-            if not room:
-                yield run
-                run, room = [], cap
-    if run:
-        yield run
-
-
 class _Fit:
     """The R factor of a design A = [1 | X[:, cols]], from which every subset fit is read.
 
@@ -234,12 +214,13 @@ class _Fit:
     before them.  The least-squares fit on any set S of A's columns has the
     coefficients of min_b |c - R[:, S] b| and rss rss0 plus that minimum, so
     subset fits are small problems that never touch the n rows.  A fit keeps
-    only R (as R^T), c, rss0 and the squared column norms of R, not the state
-    or its n-row basis.  ``rss`` is the one routine that solves the subset problems:
-    the subset search scores its subsets with it and a reported result reads
-    its rss, coefficients and drop-one rss from it, so both see the same
-    numbers.  Covariates are addressed by their positions in ``cols``; the
-    intercept, when fitted, is A's first column and term 0.
+    only R (as R^T), c, rss0 and the squared column norms of R, as the state
+    gave them, not the state or its n-row basis.  ``rss`` is the one routine
+    that solves the subset problems: the subset search scores its subsets
+    with it and a reported result reads its rss, coefficients and drop-one
+    rss from it, so both see the same numbers.  Covariates are addressed by
+    their positions in ``cols``; the intercept, when fitted, is A's first
+    column and term 0.
     """
 
     __slots__ = ("n", "cols", "p", "rt", "c", "off", "rss0", "norm2", "tss", "floor")
@@ -247,20 +228,15 @@ class _Fit:
     def __init__(self, state, cols):
         self.n = state.n
         self.cols = list(cols)
-        r, c = state.factor()
+        r, self.c = state.factor()
         self.p, w = r.shape
         self.off = w - len(self.cols)
-        # R^T and c, zero-padded to the most rows a subset problem can have
-        self.rt = np.zeros((w, max(self.p, w + 1)))
-        self.rt[:, :self.p] = r.T
-        self.c = np.zeros(self.rt.shape[1])
-        self.c[:self.p] = c
-        # an array, so that the rss0 of many fits join like their other parts
-        self.rss0 = np.array([state.rss])
+        self.rt = r.T
+        self.rss0 = state.rss
         self.norm2 = np.einsum("ij,ij->j", r, r)
         # rss after the intercept alone (y.y without it), and the level at or
         # below which an rss is rounding noise, as in stepwise: the fit is exact
-        c = c[self.off:]
+        c = self.c[self.off:]
         self.tss = state.rss + float(c @ c)
         self.floor = _PERFECT_FIT_REL * self.tss
 
@@ -278,10 +254,15 @@ class _Fit:
         it, as in stepwise.  F is returned only with ``factors``, else None.
 
         The problems of all jobs are grouped by their shape, R's rows (at least
-        s + 1) by s + 1, and each group is factored by one batched QR per
-        ``_BATCH`` problems, a chunk that may span jobs.  The batched QR
-        factors each matrix on its own, so every number is the same bits
-        whatever else shares its batch.
+        s + 1) by s + 1.  A group stacks its jobs' R^T (with c as one more
+        row), rss0 and column norms, zero-padded to the group's rows and to
+        its widest job, and lists its problems flat, one job's idx after
+        another.  The list is factored by one batched QR per ``_BATCH``
+        problems, each problem gathered from the stack at its owner, the job
+        whose rows it falls in.  The zero rows square the problems of an R
+        with fewer rows, and a narrower job's padded columns are never read;
+        the batched QR factors each matrix on its own, so every number is the
+        same bits whatever shares its batch.
         """
         groups = {}
         for j, (fit, idx) in enumerate(jobs):
@@ -290,46 +271,34 @@ class _Fit:
         out = [None] * len(jobs)
         for (rows, cols), members in groups.items():
             s = cols - 1
-            fits, slot = [], {}
-            for j in members:
-                if id(jobs[j][0]) not in slot:
-                    slot[id(jobs[j][0])] = len(fits)
-                    fits.append(jobs[j][0])
-            # the group's fits one above the other: column i of the t-th
-            # fit's R is row base[t] + i of rt, and its c is row t of ct
-            base = list(itertools.accumulate((len(fit.rt) for fit in fits), initial=0))
-            rt = _cat([fit.rt[:, :rows] for fit in fits])
-            ct = _cat([fit.c[None, :rows] for fit in fits])
-            rss0 = _cat([fit.rss0 for fit in fits])
-            norm2 = _cat([fit.norm2 for fit in fits])
-            total = sum(len(jobs[j][1]) for j in members)
-            rss, valid = np.empty(total), np.empty(total, dtype=bool)
-            fs = np.empty((total, cols, cols)) if factors else None
-            row = 0
-            for j in members:
-                end = row + len(jobs[j][1])
-                out[j] = rss[row:end], valid[row:end], None if fs is None else fs[row:end]
-                row = end
-            row = 0
-            for chunk in _chunks([len(jobs[j][1]) for j in members], _BATCH):
-                owner = [slot[id(jobs[members[u]][0])] for u, _, _ in chunk]
-                parts = [jobs[members[u]][1][lo:hi] + base[t]
-                         for (u, lo, hi), t in zip(chunk, owner)]
-                gidx = _cat(parts)
-                # the fit of each problem; one fit's c and rss0 broadcast
-                which = owner[0] if len(owner) == 1 else np.repeat(
-                    owner, [hi - lo for _, lo, hi in chunk])
-                a = np.empty((len(gidx), rows, cols))
-                a[:, :, :s] = rt[gidx].swapaxes(1, 2)
-                a[:, :, s] = ct[which]
-                f = np.linalg.qr(a, mode="r")
+            fits = [jobs[j][0] for j in members]
+            w = max(len(fit.rt) for fit in fits)
+            # each job's R^T and then its c as row w
+            rc = np.zeros((len(fits), w + 1, rows))
+            norm2 = np.zeros((len(fits), w))
+            for t, fit in enumerate(fits):
+                rc[t, :len(fit.rt), :fit.p] = fit.rt
+                rc[t, w, :fit.p] = fit.c
+                norm2[t, :len(fit.rt)] = fit.norm2
+            rss0 = np.array([fit.rss0 for fit in fits])
+            idx = _cat([jobs[j][1] for j in members])
+            ends = np.fromiter(itertools.accumulate(len(jobs[j][1]) for j in members), np.intp)
+            rss, valid = np.empty(len(idx)), np.empty(len(idx), dtype=bool)
+            fs = np.empty((len(idx), cols, cols)) if factors else None
+            for lo in range(0, len(idx), _BATCH):
+                b = slice(lo, lo + _BATCH)
+                g = idx[b]
+                o = ends.searchsorted(np.arange(lo, lo + len(g)), side="right")[:, None]
+                # [R[:, S] | c] of each problem, gathered transposed
+                at = rc[o, np.concatenate((g, np.full((len(g), 1), w)), axis=1)]
+                f = np.linalg.qr(at.swapaxes(1, 2), mode="r")
                 d = np.diagonal(f, axis1=1, axis2=2) ** 2
-                end = row + len(gidx)
-                rss[row:end] = rss0[which] + d[:, s]
-                valid[row:end] = (d[:, :s] > COLLINEARITY_TOL * norm2[gidx]).all(axis=1)
+                rss[b] = rss0[o[:, 0]] + d[:, s]
+                valid[b] = (d[:, :s] > COLLINEARITY_TOL * norm2[o, g]).all(axis=1)
                 if factors:
-                    fs[row:end] = f
-                row = end
+                    fs[b] = f
+            for j, lo, hi in zip(members, [0, *ends[:-1]], ends):
+                out[j] = rss[lo:hi], valid[lo:hi], None if fs is None else fs[lo:hi]
         return out
 
     def pf(self, ctx, rss, rss_wo):

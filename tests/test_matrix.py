@@ -93,7 +93,25 @@ class TestStandardize:
         # constant columns pass through untouched (no offset, unit scale)
         assert np.allclose(s.values[:, 0], 4.2)
         assert s.offsets[0] == 0.0 and s.scales[0] == 1.0
-        assert not s.standardized[0] and s.standardized[1]
+
+    def test_power_of_two_scaling_changes_no_bit(self):
+        # a column is constant when its sd is negligible next to its own mean,
+        # so the test holds at every scale, far below unit scale included;
+        # 1/3 sums with rounding, so its computed sd is not exactly 0
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((40, 12)) * np.logspace(-3, 3, 12) + rng.uniform(-10, 10, 12)
+        X[:, [2, 5, 8, 11]] = [0.0, 5.0, 3e5, 1 / 3]
+        s, const = standardize(DataMatrix(X))
+        assert const == [2, 5, 8, 11]
+        keep = [j for j in range(12) if j not in const]
+        for k in range(-400, 401):
+            sk, ck = standardize(DataMatrix(np.ldexp(X, k)))
+            assert ck == const, k
+            assert np.array_equal(sk.values[:, keep], s.values[:, keep]), k
+            assert np.array_equal(sk.values[:, const], np.ldexp(X[:, const], k)), k
+            assert np.array_equal(sk.scales[keep], np.ldexp(s.scales[keep], k)), k
+            assert np.array_equal(sk.offsets[keep], np.ldexp(s.offsets[keep], k)), k
+            assert np.array_equal(sk.scales[const], np.ones(4)), k
 
     def test_all_constant_raises(self):
         with pytest.raises(AllColumnsConstant):

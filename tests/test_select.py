@@ -19,6 +19,7 @@ from scipy.special import betainc as sp_betainc
 
 import gausscov.select as select
 from gausscov import (
+    CollinearColumn,
     DataMatrix,
     DomainError,
     SelectionConfig,
@@ -30,7 +31,7 @@ from gausscov import (
     fgr1st,
     standardize,
 )
-from gausscov.matrix import gram
+from gausscov.matrix import ResidualState, _record_in_span, extend, gram
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +620,38 @@ class TestBatchRefinement:
             assert max(sizes) > max_subset_refine
         assert list(select._refine(m, passes, cfg)) == alone
 
+    def test_jobs_sharing_a_call_get_what_each_gets_alone(self):
+        # fits of widths 3 and 4, with 2 and 3 rows of R, share the problem
+        # shapes (3, 3) and (4, 4); column 1 nearly duplicates column 0 and
+        # column 2 is 1e-7 times smaller than the rest, so a problem that read
+        # another job's R, c or column norms, or missed a zero row, would get
+        # other rss bits or another validity
+        rng = np.random.default_rng(21)
+        a, z, v, u, y = rng.standard_normal((5, 12))
+        m = DataMatrix(np.column_stack([a, a + 1e-7 * z, 1e-7 * v, u]))
+
+        def fit(cols):
+            state = ResidualState(y)
+            for j in cols:
+                try:
+                    extend(state, m, j)
+                except CollinearColumn:
+                    _record_in_span(state, m.col(j))
+            return select._Fit(state, cols)
+
+        jobs = [(f, np.array(list(itertools.combinations(range(len(f.cols)), s)), dtype=np.intp))
+                for s in (1, 2, 3) for f in (fit([0, 1, 2]), fit([3, 0, 1, 2]))]
+        together = select._Fit.rss(jobs, factors=True)
+        alone = [select._Fit.rss([job], factors=True)[0] for job in jobs]
+        for got, want in zip(together, alone):
+            for x, x_want in zip(got, want):
+                assert np.array_equal(x, x_want)
+        valid = np.concatenate([v for _, v, _ in alone])
+        assert valid.any() and not valid.all()
+
     def test_small_batches_change_nothing(self, monkeypatch):
-        # with 7 problems per QR call, the shape groups of the graph's node
-        # fits are cut into chunks that span fits; each fit must get its own
+        # with few problems per QR call, the flat problem list of a shape
+        # group is cut into batches that span jobs; each job must get its own
         # rows back in order
         rng = np.random.default_rng(83)
         cols = [rng.standard_normal(60)]
@@ -640,8 +670,9 @@ class TestBatchRefinement:
 
         want = run()
         assert want[0].directed and len(want[1].trace) >= 6 and len(want[2])
-        monkeypatch.setattr(select, "_BATCH", 7)
-        assert run() == want
+        for batch in (7, 1):
+            monkeypatch.setattr(select, "_BATCH", batch)
+            assert run() == want, batch
 
 
 # ---------------------------------------------------------------------------
@@ -1021,6 +1052,121 @@ class TestDeterminism:
         a = json.dumps(f3st(m, y, cfg).to_dict(), sort_keys=True)
         b = json.dumps(f3st(m, y, cfg).to_dict(), sort_keys=True)
         assert a == b
+
+
+# ---------------------------------------------------------------------------
+# metamorphic properties
+# ---------------------------------------------------------------------------
+
+def meta_data(seed):
+    """A 40 x 30 design and y on three of its columns; a 9 x 12 pool whose later
+    columns lie in the span of the earlier ones, column 5 a multiple of column
+    2, and y on two columns; a 12 x 16 design of chained columns for graphs."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, 30))
+    y = X[:, [1, 6, 11]] @ [2.0, -1.5, 1.2] + rng.standard_normal(40)
+    xw = rng.standard_normal((9, 12))
+    xw[:, 5] = 3.0 * xw[:, 2]
+    yw = 3.0 * xw[:, 0] - 2.0 * xw[:, 4] + 0.3 * rng.standard_normal(9)
+    xg = rng.standard_normal((12, 16))
+    for j in (1, 2, 3, 7, 8, 12):
+        xg[:, j] += 2.0 * xg[:, j - 1]
+    return rng, X, y, xw, yw, xg
+
+
+def pow2_scaled(X, y, what, k, block):
+    """(X, y) with y, all of X or columns ``block`` of X scaled by 2^k."""
+    if what == "y":
+        return X, np.ldexp(y, k)
+    X = X.copy()
+    cols = slice(None) if what == "X" else block
+    X[:, cols] = np.ldexp(X[:, cols], k)
+    return X, y
+
+
+def f1st_view(r, back, rss_exp=0):
+    """What permuting or rescaling must not move: the selected set and trace
+    (mapped back through ``back``), pg, trace p_f and rss (times 2^-rss_exp)."""
+    return ([back[j] for j in r.selected], r.pg, [back[t.index] for t in r.trace],
+            [t.p_f for t in r.trace], np.ldexp(r.rss, -rss_exp), r.intercept_pg)
+
+
+def subsets_view(aset, back, rss_exp=0):
+    """Every retained subset as (its members mapped back, with their pg), rss."""
+    return sorted((sorted(zip([back[j] for j in r.selected], r.pg)),
+                   np.ldexp(r.rss, -rss_exp)) for r in aset)
+
+
+def graph_view(g, back):
+    return sorted((back[a], back[b], pg) for a, b, pg in g.directed)
+
+
+class TestMetamorphic:
+    """Permuting columns or scaling by a power of two changes no bit.
+
+    P-values depend only on rss ratios, and scaling by 2^k is exact, so sets,
+    pg and trace p_f must come out bit-identical, and rss scaled by exactly
+    4^k when y is.  Graph scales stop at |k| = 100: a node's response is one
+    of the scaled columns, and at 2^400 the square of X^T y leaves the double
+    range.
+    """
+
+    POW2 = [1, -1, 100, -100, 400, -400, 500, -500]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_permuted_columns(self, seed):
+        rng, X, y, xw, yw, xg = meta_data(seed)
+        for intercept in (True, False):
+            cfg = SelectionConfig(intercept=intercept)
+            for kmn in (0, 4):
+                node_cfg = dataclasses.replace(cfg, kmn=kmn)
+                want = f1st_view(f1st(DataMatrix(X), y, node_cfg), range(30))
+                for perm in (rng.permutation(30), np.arange(30)[::-1]):
+                    got = f1st(DataMatrix(X[:, perm]), y, node_cfg)
+                    assert f1st_view(got, perm) == want, (intercept, kmn, perm)
+            # q <= n, graphs from the Gram matrix; q > n, from the data
+            for x in (xg[:, :12], xg):
+                q = x.shape[1]
+                want = graph_view(fgr1st(DataMatrix(x), cfg), range(q))
+                perm = rng.permutation(q)
+                assert graph_view(fgr1st(DataMatrix(x[:, perm]), cfg), perm) == want
+            # all_subset_select factors its pool in pool order, so a permuted
+            # pool is factored in another order: the same subsets are
+            # retained, with rss and pg equal up to rounding
+            for x, v in ((X[:, :12], y), (xw, yw)):
+                want = subsets_view(all_subset_select(DataMatrix(x), v, cfg), range(12))
+                perm = rng.permutation(12)
+                got = subsets_view(all_subset_select(DataMatrix(x[:, perm]), v, cfg), perm)
+                assert [[j for j, _ in m] for m, _ in got] == [[j for j, _ in m] for m, _ in want]
+                for (m_got, rss_got), (m_want, rss_want) in zip(got, want):
+                    assert rss_got == pytest.approx(rss_want, rel=1e-12)
+                    assert [p for _, p in m_got] == pytest.approx([p for _, p in m_want],
+                                                                 rel=1e-12, abs=1e-300)
+
+    @pytest.mark.parametrize("k", POW2)
+    @pytest.mark.parametrize("what", ["y", "X", "block"])
+    def test_power_of_two_scaling(self, what, k):
+        rss_exp = 2 * k if what == "y" else 0
+        _, X, y, xw, yw, xg = meta_data(2)
+        X2, y2 = pow2_scaled(X, y, what, k, slice(5, 15))
+        xw2, yw2 = pow2_scaled(xw, yw, what, k, slice(3, 8))
+        for intercept in (True, False):
+            cfg = SelectionConfig(intercept=intercept)
+            for kmn in (0, 4):
+                node_cfg = dataclasses.replace(cfg, kmn=kmn)
+                want = f1st_view(f1st(DataMatrix(X), y, node_cfg), range(30))
+                got = f1st_view(f1st(DataMatrix(X2), y2, node_cfg), range(30), rss_exp)
+                assert got == want, (intercept, kmn)
+            for (x, v), (x2, v2) in (((X[:, :12], y), (X2[:, :12], y2)), ((xw, yw), (xw2, yw2))):
+                want = subsets_view(all_subset_select(DataMatrix(x), v, cfg), range(12))
+                got = subsets_view(all_subset_select(DataMatrix(x2), v2, cfg), range(12), rss_exp)
+                assert got == want, intercept
+            if what != "y" and abs(k) <= 100:
+                xg2, _ = pow2_scaled(xg, None, what, k, slice(4, 9))
+                for q in (12, 16):
+                    want = graph_view(fgr1st(DataMatrix(xg[:, :q]), cfg), range(q))
+                    got = graph_view(fgr1st(DataMatrix(xg2[:, :q]), cfg), range(q))
+                    assert got == want, (intercept, q)
 
 
 class TestConfigValidation:
