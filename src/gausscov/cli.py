@@ -168,16 +168,17 @@ def cmd_select(args):
 # ---------------------------------------------------------------------------
 
 def cmd_graph(args):
+    cfg = _selection_config(args)
     if args.random is not None:
         p, n = args.random
         rows = []
         for i in range(args.reps):
-            rep = random_graph_sim(p, n, args.seed + i, _selection_config(args),
-                                   rule=args.rule)
+            rep = random_graph_sim(p, n, args.seed + i, cfg, rule=args.rule)
             rows.append(rep)
         if args.output == "json":
             payload = {
                 "command": "graph-random",
+                "config": dataclasses.asdict(cfg),
                 "rule": args.rule,
                 "runs": [r.to_dict(include_timing=not args.no_timing) for r in rows],
             }
@@ -201,7 +202,7 @@ def cmd_graph(args):
     if args.standardize:
         m, _ = standardize(m)
     t0 = time.perf_counter()
-    g = fgr1st(m, _selection_config(args), rule=args.rule)
+    g = fgr1st(m, cfg, rule=args.rule)
     seconds = time.perf_counter() - t0
     outdir = args.outdir or "."
     os.makedirs(outdir, exist_ok=True)
@@ -209,7 +210,8 @@ def cmd_graph(args):
     undirected_to_csv(g, os.path.join(outdir, "edges_undirected.csv"))
     graph_to_dot(g, os.path.join(outdir, "graph.dot"))
     if args.output == "json":
-        payload = {"command": "graph", "names": list(m.names)}
+        payload = {"command": "graph", "config": dataclasses.asdict(cfg),
+                   "names": list(m.names)}
         payload.update(g.to_dict())
         if not args.no_timing:
             payload["seconds"] = seconds

@@ -398,11 +398,13 @@ def scan_best(state, m, excluded=()):
         raise DomainError("matrix row count does not match the state")
     _ensure_scan_cache(state, m)
     cor = state._xtr
-    red = cor * cor
     denom = state._resid_norm2
     admissible = denom > COLLINEARITY_TOL * m.col_norm2()
+    # (cor / denom) * cor, not cor^2 / denom: a score is at most the rss, so
+    # it stays finite wherever the rss is, while cor^2 can overflow
     score = np.full(m.q, -np.inf)
-    np.divide(red, denom, out=score, where=admissible)
+    np.divide(cor, denom, out=score, where=admissible)
+    np.multiply(score, cor, out=score, where=admissible)
     if isinstance(excluded, np.ndarray) and excluded.dtype == bool:
         score[excluded] = -np.inf
     else:

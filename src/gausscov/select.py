@@ -221,24 +221,32 @@ class _Fit:
     rss from it, so both see the same numbers.  Covariates are addressed by
     their positions in ``cols``; the intercept, when fitted, is A's first
     column and term 0.
+
+    A fit is also all a result needs besides the data: ``q_pool``, the
+    number of candidates its covariates competed against, and ``trace``,
+    the stepwise steps that chose ``cols`` (empty for an all-subset pool).
+    Since it holds no n-row array, the fits of many stepwise passes can wait
+    to be refined together.
     """
 
-    __slots__ = ("n", "cols", "p", "rt", "c", "off", "rss0", "norm2", "tss", "floor")
+    __slots__ = ("n", "cols", "q_pool", "trace", "p", "rt", "c", "off", "rss0", "norm2", "floor")
 
-    def __init__(self, state, cols):
+    def __init__(self, state, cols, q_pool, trace=()):
         self.n = state.n
         self.cols = list(cols)
+        self.q_pool = q_pool
+        self.trace = trace
         r, self.c = state.factor()
         self.p, w = r.shape
         self.off = w - len(self.cols)
         self.rt = r.T
         self.rss0 = state.rss
         self.norm2 = np.einsum("ij,ij->j", r, r)
-        # rss after the intercept alone (y.y without it), and the level at or
-        # below which an rss is rounding noise, as in stepwise: the fit is exact
+        # an rss at or below this fraction of the rss after the intercept
+        # alone (y.y without it) is rounding noise, as in stepwise: the fit
+        # is exact
         c = self.c[self.off:]
-        self.tss = state.rss + float(c @ c)
-        self.floor = _PERFECT_FIT_REL * self.tss
+        self.floor = _PERFECT_FIT_REL * (state.rss + float(c @ c))
 
     @staticmethod
     def rss(jobs, factors=False):
@@ -308,31 +316,19 @@ class _Fit:
         return pvalues.pf_from_rss_ratio(ctx, rss, rss_wo)
 
 
-@dataclass(slots=True)
-class _Pass:
-    """A finished stepwise pass: the fit of its selected set, its trace and its competitor pool.
-
-    The pass keeps no ``ResidualState``, so many passes hold no n-row arrays
-    while they wait to be refined together.
-    """
-
-    fit: _Fit
-    trace: list
-    q_pool: int
-
-
 def _build_results(m, items):
-    """Yield a SelectionResult for each item (fit, pos, q_pool, trace, pg).
+    """Yield a SelectionResult for each item (fit, pos, pg).
 
-    Each reports the fit on covariate positions ``pos`` of ``fit``.  The
-    member P-values are the all-subset ones unless ``pg`` gives them.
-    Coefficients are reported on the original scale of the data.  The fits
-    of all items are solved in one call of ``_Fit.rss``, and their
-    leave-one-out fits in another; results are assembled one at a time, so
-    a caller that keeps only part of each holds no list of them.
+    Each reports the fit on covariate positions ``pos`` of ``fit``, with the
+    fit's competitor pool and trace.  The member P-values are the all-subset
+    ones unless ``pg`` gives them.  Coefficients are reported on the
+    original scale of the data.  The fits of all items are solved in one
+    call of ``_Fit.rss``, and their leave-one-out fits in another; results
+    are assembled one at a time, so a caller that keeps only part of each
+    holds no list of them.
     """
     fits, drops, loo = [], [], {}
-    for fit, pos, *_ in items:
+    for fit, pos, _ in items:
         idx = np.array([list(range(fit.off)) + [i + fit.off for i in pos]], dtype=np.intp)
         s = idx.shape[1]
         if s not in loo:
@@ -341,7 +337,7 @@ def _build_results(m, items):
         fits.append((fit, idx))
         # every term's drop-one rss, from one batch of leave-one-out fits
         drops.append((fit, idx[0, loo[s]]))
-    for (fit, pos, q_pool, trace, pg), (rss, _, f), (rss_drop, _, _) in zip(
+    for (fit, pos, pg), (rss, _, f), (rss_drop, _, _) in zip(
             items, _Fit.rss(fits, factors=True), _Fit.rss(drops)):
         sel = [fit.cols[i] for i in pos]
         s = fit.off + len(pos)
@@ -349,7 +345,7 @@ def _build_results(m, items):
         beta = solve_triangular(f[:s, :s], f[:s, s])
         rss_drop = rss_drop.tolist()
         # a fit with no term at all tests nothing
-        ctx = pvalues.PvalueContext(fit.n, s, q_pool - len(sel)) if s else None
+        ctx = pvalues.PvalueContext(fit.n, s, fit.q_pool - len(sel)) if s else None
         if pg is None:
             pg = [pvalues.pg_all_subset(ctx, fit.pf(ctx, rss, r)) for r in rss_drop[fit.off:]]
         # undo recorded rescaling: stored = (raw - offset)/scale
@@ -371,18 +367,18 @@ def _build_results(m, items):
             rss=rss,
             intercept_coefficient=intercept_coef,
             intercept_pg=intercept_pg,
-            trace=list(trace),
+            trace=list(fit.trace),
             n=fit.n,
-            q_pool=q_pool,
+            q_pool=fit.q_pool,
             names=[m.names[j] for j in sel],
         )
 
 
-def _passing_subsets(jobs, p0):
-    """Subsets of each job's fit whose every member passes the membership test.
+def _passing_subsets(fits, p0):
+    """Subsets of each fit whose every member passes the membership test at ``p0``.
 
-    ``jobs`` lists (fit, q_pool) pairs.  Yields (job, rss, size, positions)
-    for each subset small enough to leave two residual degrees of freedom.
+    Yields (i, rss, size, positions), ``fits[i]`` the fit searched, for each
+    subset small enough to leave two residual degrees of freedom.
     Every subset keeps the intercept when it is fitted.  Fits with the same
     number of covariates k, intercept and n are searched together: sizes in
     increasing order, one size's subsets of every such fit scored in one call
@@ -391,12 +387,12 @@ def _passing_subsets(jobs, p0):
     that member's bit, scored one size earlier.
     """
     groups = {}
-    for i, (fit, _) in enumerate(jobs):
+    for i, fit in enumerate(fits):
         groups.setdefault((len(fit.cols), fit.off, fit.n), []).append(i)
     for (k, off, n), members in groups.items():
-        fits = [jobs[i][0] for i in members]
-        q_pools = [jobs[i][1] for i in members]
-        floor = np.array([fit.floor for fit in fits])[:, None, None]
+        group = [fits[i] for i in members]
+        q_pools = [fit.q_pool for fit in group]
+        floor = np.array([fit.floor for fit in group])[:, None, None]
         rss_at = np.empty((len(members), 1 << k))
         for s in range(min(k, n - off - 2) + 1):
             count = math.comb(k, s)
@@ -405,7 +401,7 @@ def _passing_subsets(jobs, p0):
             idx = np.empty((count, off + s), dtype=np.intp)
             idx[:, :off] = np.arange(off)
             idx[:, off:] = combos + off
-            scored = _Fit.rss([(fit, idx) for fit in fits])
+            scored = _Fit.rss([(fit, idx) for fit in group])
             rss = np.array([r for r, _, _ in scored])
             if not s:
                 rss_at[:, 0] = rss[:, 0]
@@ -427,31 +423,25 @@ def _passing_subsets(jobs, p0):
                     yield members[t], float(rss_c[t, b]), s, tuple(chunk[b])
 
 
-def _refine(m, passes, cfg):
-    """Yield the SelectionResult of each finished stepwise pass, all refined together.
+def _refine(m, fits, cfg):
+    """Yield the SelectionResult of each stepwise pass's fit, all refined together.
 
-    A pass whose set has at most ``cfg.max_subset_refine`` members reports
-    the least-rss subset of it whose every member passes the all-subset
-    membership test at ``cfg.p0`` (or none); any other pass reports its
-    stepwise set with the stepwise P-values.  Passes with as many members
+    A fit of at most ``cfg.max_subset_refine`` covariates reports the
+    least-rss subset of them whose every member passes the all-subset
+    membership test at ``cfg.p0`` (or none); any other fit reports all its
+    covariates with their stepwise P-values.  Fits with as many covariates
     are searched together and all reported fits are solved together, so
-    ``_Fit.rss`` runs one batched QR per problem shape, not several per pass.
+    ``_Fit.rss`` runs one batched QR per problem shape, not several per fit.
     """
-    search = [i for i, p in enumerate(passes) if 0 < len(p.fit.cols) <= cfg.max_subset_refine]
-    best = {}
-    for b, *hit in _passing_subsets([(passes[i].fit, passes[i].q_pool) for i in search], cfg.p0):
-        i, hit = search[b], tuple(hit)
-        if i not in best or hit < best[i]:
-            best[i] = hit
-    refined = set(search)
-    items = []
-    for i, p in enumerate(passes):
-        if i in refined:
-            items.append((p.fit, list(best[i][2]) if i in best else [], p.q_pool, p.trace, None))
-        else:
-            items.append((p.fit, list(range(len(p.fit.cols))), p.q_pool, p.trace,
-                          [t.p_g for t in p.trace]))
-    return _build_results(m, items)
+    search = [i for i, fit in enumerate(fits) if 0 < len(fit.cols) <= cfg.max_subset_refine]
+    # (rss, size, positions) of each searched fit's best passing subset
+    best = dict.fromkeys(search, (math.inf, 0, ()))
+    for b, *hit in _passing_subsets([fits[i] for i in search], cfg.p0):
+        best[search[b]] = min(best[search[b]], tuple(hit))
+    return _build_results(m, [
+        (fit, best[i][2], None) if i in best
+        else (fit, range(len(fit.cols)), [t.p_g for t in fit.trace])
+        for i, fit in enumerate(fits)])
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +460,12 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
     member passes the all-subset membership test at ``p0``.
 
     The stepwise pass and the refinement are separate stages: the pass ends
-    with the R factor of its selected set (a ``_Fit``), its trace and its
-    competitor pool, and drops its n-row state; the refinement takes a list
-    of such passes and solves all their subset fits together (``_refine``).
+    with the ``_Fit`` of its selected set, which keeps its trace and
+    competitor pool but not its n-row state; the refinement takes a list of
+    such fits and solves all their subset fits together (``_refine``).
     ``f1st`` refines a list of one.  Callers with many responses, such as
-    ``fgr1st``, pass ``_stepwise=True`` to get the finished pass instead and
-    refine every pass in one call.
+    ``fgr1st``, pass ``_stepwise=True`` to get the fit instead and refine
+    every fit in one call.
 
     Parameters
     ----------
@@ -547,8 +537,8 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
             trace.append(TraceStep(j, p_f, p_g, state.rss, forced=p_g >= cfg.p0))
         else:
             break
-    done = _Pass(_Fit(state, state.selected), trace, q_pool)
-    return done if _stepwise else next(_refine(m, [done], cfg))
+    fit = _Fit(state, state.selected, q_pool, trace)
+    return fit if _stepwise else next(_refine(m, [fit], cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +571,8 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
             extend(state, m, j)
         except CollinearColumn:
             _record_in_span(state, m.col(j))
-    fit = _Fit(state, cand)
-    retained = sorted((hit for _, *hit in _passing_subsets([(fit, q_pool)], cfg.p0)),
+    fit = _Fit(state, cand, q_pool)
+    retained = sorted((hit for _, *hit in _passing_subsets([fit], cfg.p0)),
                       key=lambda r: (-r[1], r[0], r[2]))
     # drop retained subsets contained in a larger retained subset
     maximal = []
@@ -594,8 +584,7 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
         masks.append(mask)
         maximal.append((rss, s, combo))
     maximal.sort(key=lambda r: (r[0], r[1], r[2]))
-    results = list(_build_results(m, [(fit, list(combo), q_pool, (), None)
-                                      for _, _, combo in maximal]))
+    results = list(_build_results(m, [(fit, combo, None) for _, _, combo in maximal]))
     return ApproximationSet(results, ["all-subset"] * len(results))
 
 

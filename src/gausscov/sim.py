@@ -96,6 +96,8 @@ class SimReport:
             "p0": self.spec.selection.p0,
             "kmn": self.spec.selection.kmn,
             "m": self.spec.selection.m,
+            "intercept": self.spec.selection.intercept,
+            "max_subset_refine": self.spec.selection.max_subset_refine,
             "fp_mean": self.fp_mean,
             "fn_mean": self.fn_mean,
             "pct_correct": self.pct_correct,

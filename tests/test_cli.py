@@ -259,6 +259,14 @@ class TestGraph:
         assert payload["runs"][0]["p"] == 20
         assert "seconds" not in payload["runs"][0]
 
+    def test_json_records_the_selection_config(self, capsys, tmp_path):
+        want = {"p0": 0.01, "kmn": 2, "m": 1, "max_subset_refine": 3, "intercept": False}
+        for argv in ([TINY, "--outdir", str(tmp_path)], ["--random", "20", "100"]):
+            code, out, _ = run(capsys, "graph", *argv, "--kmn", "2", "--max-subset", "3",
+                               "--no-intercept", "--output", "json", "--no-timing")
+            assert code == 0
+            assert json.loads(out)["config"] == want
+
     def test_no_data_no_random_is_config_error(self, capsys):
         code, _, err = run(capsys, "graph")
         assert code == 3
@@ -383,6 +391,16 @@ class TestSimulate:
         payload = json.loads(out)
         assert payload["reps"] == 2
         assert "records" not in payload
+
+    def test_json_records_intercept_and_max_subset(self, capsys):
+        argv = ["simulate", "--n", "30", "--q", "20", "--reps", "1", "--output", "json",
+                "--no-timing", "--no-records"]
+        _, out, _ = run(capsys, *argv)
+        default = json.loads(out)
+        assert default["intercept"] is True and default["max_subset_refine"] == 20
+        _, out, _ = run(capsys, *argv, "--no-intercept", "--max-subset", "3")
+        changed = json.loads(out)
+        assert changed["intercept"] is False and changed["max_subset_refine"] == 3
 
     def test_unsupported_method(self, capsys):
         code, _, _ = run(capsys, "simulate", "--method", "f2st")

@@ -637,7 +637,7 @@ class TestBatchRefinement:
                     extend(state, m, j)
                 except CollinearColumn:
                     _record_in_span(state, m.col(j))
-            return select._Fit(state, cols)
+            return select._Fit(state, cols, m.q)
 
         jobs = [(f, np.array(list(itertools.combinations(range(len(f.cols)), s)), dtype=np.intp))
                 for s in (1, 2, 3) for f in (fit([0, 1, 2]), fit([3, 0, 1, 2]))]
@@ -1106,9 +1106,9 @@ class TestMetamorphic:
 
     P-values depend only on rss ratios, and scaling by 2^k is exact, so sets,
     pg and trace p_f must come out bit-identical, and rss scaled by exactly
-    4^k when y is.  Graph scales stop at |k| = 100: a node's response is one
-    of the scaled columns, and at 2^400 the square of X^T y leaves the double
-    range.
+    4^k when y is.  Graphs are scaled to 2^±500 too, although a node's
+    response is one of the scaled columns, so the squares of X^T y would
+    leave the double range there: the scan never forms them.
     """
 
     POW2 = [1, -1, 100, -100, 400, -400, 500, -500]
@@ -1161,12 +1161,77 @@ class TestMetamorphic:
                 want = subsets_view(all_subset_select(DataMatrix(x), v, cfg), range(12))
                 got = subsets_view(all_subset_select(DataMatrix(x2), v2, cfg), range(12), rss_exp)
                 assert got == want, intercept
-            if what != "y" and abs(k) <= 100:
+            if what != "y":
                 xg2, _ = pow2_scaled(xg, None, what, k, slice(4, 9))
                 for q in (12, 16):
                     want = graph_view(fgr1st(DataMatrix(xg[:, :q]), cfg), range(q))
                     got = graph_view(fgr1st(DataMatrix(xg2[:, :q]), cfg), range(q))
                     assert got == want, (intercept, q)
+
+
+def quietly(fn, *args, **kwargs):
+    """fn's value, with any warning at all raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fn(*args, **kwargs)
+
+
+class TestHostileInputs:
+    """Degenerate inputs give a defined result, with no warning."""
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_n_is_k_plus_two(self, intercept):
+        # forced to the largest set that leaves two residual degrees of
+        # freedom, then refined to the one real signal
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((12, 10))
+        y = 3.0 * X[:, 0] + rng.standard_normal(12)
+        cfg = SelectionConfig(kmn=10, intercept=intercept)
+        r = quietly(f1st, DataMatrix(X), y, cfg)
+        assert len(r.trace) == 12 - intercept - 2
+        assert r.selected == [0]
+        assert 0.0 <= r.pg[0] < cfg.p0
+
+    @pytest.mark.parametrize("value", [2.5, 0.1, 1.0 / 3.0, -7.0])
+    def test_constant_y(self, value):
+        X = np.random.default_rng(1).standard_normal((30, 8))
+        y = np.full(30, value)
+        r = quietly(f1st, DataMatrix(X), y)
+        assert r.selected == [] and r.trace == []
+        # the intercept alone fits y to rounding
+        assert r.intercept_pg < 1e-100
+        r = quietly(f1st, DataMatrix(X), y, SelectionConfig(intercept=False))
+        assert r.selected == [] and r.intercept_pg is None
+
+    def test_zero_y(self):
+        X = np.random.default_rng(2).standard_normal((30, 8))
+        y = np.zeros(30)
+        for intercept in (True, False):
+            cfg = SelectionConfig(intercept=intercept)
+            r = quietly(f1st, DataMatrix(X), y, cfg)
+            assert r.selected == [] and r.trace == [] and r.rss == 0.0
+            assert r.intercept_pg == (1.0 if intercept else None)
+            assert len(quietly(f3st, DataMatrix(X), y, cfg)) == 0
+            assert len(quietly(all_subset_select, DataMatrix(X), y, cfg)) == 0
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_exact_fit(self, intercept):
+        # without an intercept the constant is not in the model, so the
+        # exact fit there is y = 2 x1 - x4
+        X = np.random.default_rng(0).standard_normal((30, 8))
+        y = 2.0 * X[:, 1] - X[:, 4] + (3.0 if intercept else 0.0)
+        cfg = SelectionConfig(intercept=intercept)
+        r = quietly(f1st, DataMatrix(X), y, cfg)
+        assert sorted(r.selected) == [1, 4]
+        assert all(0.0 <= p < cfg.p0 for p in r.pg)
+        assert r.rss < 1e-20 * float(y @ y)
+        assert dict(zip(r.selected, r.coefficients)) == pytest.approx({1: 2.0, 4: -1.0})
+        if intercept:
+            assert r.intercept_coefficient == pytest.approx(3.0)
+        aset = quietly(f3st, DataMatrix(X), y, dataclasses.replace(cfg, m=2))
+        assert sorted(aset.best.selected) == [1, 4]
+        aset = quietly(all_subset_select, DataMatrix(X), y, cfg)
+        assert [sorted(a.selected) for a in aset] == [[1, 4]]
 
 
 class TestConfigValidation:
