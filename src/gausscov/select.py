@@ -16,6 +16,7 @@ competed against; no noise level, sparsity bound or regularization weight is
 ever estimated.
 """
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -46,6 +47,15 @@ _PERFECT_FIT_REL = 1e-12
 
 _BATCH = 8192
 
+# The bounded subset search keeps a subset while its rss is within this many
+# exact-fit floors (1e-9 of the rss after the intercept) of the best passing
+# rss: rounding moves a computed rss by far less, so nothing that could pass
+# with a lower rss is pruned.
+_PRUNE_SLACK = 1e3
+
+# Subset tables of at most this many subsets are built once per process.
+_CACHED_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -58,9 +68,9 @@ class SelectionConfig:
         stopping rule applies; steps admitted only because of this floor are
         flagged as forced.
     max_subset_refine
-        Largest stepwise selection that still gets the exhaustive all-subset
-        refinement (2^k - 1 subsets); beyond it the stepwise set is returned
-        as-is.
+        Largest stepwise selection that still gets the all-subset refinement
+        (a bounded search of its 2^k - 1 subsets); beyond it the stepwise set
+        is returned as-is.
     intercept
         Fit a constant term first; it is never a candidate and is reported
         separately with a plain F-test P-value.
@@ -316,6 +326,14 @@ class _Fit:
         return pvalues.pf_from_rss_ratio(ctx, rss, rss_wo)
 
 
+@functools.lru_cache(maxsize=None)
+def _loo(s):
+    """The positions left when each of s terms is dropped in turn, an (s, s - 1) array."""
+    out = np.broadcast_to(np.arange(s), (s, s))[~np.eye(s, dtype=bool)].reshape(s, max(s - 1, 0))
+    out.setflags(write=False)
+    return out
+
+
 def _build_results(m, items):
     """Yield a SelectionResult for each item (fit, pos, pg).
 
@@ -327,16 +345,14 @@ def _build_results(m, items):
     are assembled one at a time, so a caller that keeps only part of each
     holds no list of them.
     """
-    fits, drops, loo = [], [], {}
-    for fit, pos, _ in items:
+    fits, drops = [], []
+    for fit, pos, pg in items:
         idx = np.array([list(range(fit.off)) + [i + fit.off for i in pos]], dtype=np.intp)
-        s = idx.shape[1]
-        if s not in loo:
-            loo[s] = np.broadcast_to(np.arange(s), (s, s))[~np.eye(s, dtype=bool)].reshape(
-                s, max(s - 1, 0))
         fits.append((fit, idx))
-        # every term's drop-one rss, from one batch of leave-one-out fits
-        drops.append((fit, idx[0, loo[s]]))
+        # each term's drop-one rss, from one batch of leave-one-out fits; with
+        # ``pg`` given, only the intercept's
+        drop = idx[0, _loo(idx.shape[1])]
+        drops.append((fit, drop if pg is None else drop[:fit.off]))
     for (fit, pos, pg), (rss, _, f), (rss_drop, _, _) in zip(
             items, _Fit.rss(fits, factors=True), _Fit.rss(drops)):
         sel = [fit.cols[i] for i in pos]
@@ -374,53 +390,144 @@ def _build_results(m, items):
         )
 
 
-def _passing_subsets(fits, p0):
+def _make_tables(k, s, off):
+    count = math.comb(k, s)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(k), s))
+    combos = np.fromiter(flat, np.intp, count * s).reshape(count, s)
+    idx = np.empty((count, off + s), dtype=np.intp)
+    idx[:, :off] = np.arange(off)
+    idx[:, off:] = combos + off
+    bits = 1 << combos
+    masks = bits.sum(axis=1)
+    outside = np.ones((count, k), dtype=bool)
+    outside[np.arange(count)[:, None], combos] = False
+    parents = masks[:, None] | (1 << np.nonzero(outside)[1].reshape(count, k - s))
+    tables = idx, combos, masks, masks[:, None] ^ bits, parents
+    for t in tables:
+        t.setflags(write=False)
+    return tables
+
+
+_cached_tables = functools.lru_cache(maxsize=None)(_make_tables)
+
+
+def _size_tables(k, s, off):
+    """(idx, combos, masks, children, parents) of the size-s subsets of k covariates.
+
+    ``combos`` lists each subset's positions, in lexicographic order, and
+    ``idx`` its columns of A (after the intercept, when ``off``); ``masks``
+    holds its bit mask, ``children`` the masks of its drop-one subsets and
+    ``parents`` those of the sets one position larger that contain it.  Tables
+    of at most ``_CACHED_ROWS`` subsets are kept for the life of the process,
+    so a search of a few covariates builds none; larger ones, whose scoring
+    costs far more than building them, are built each time.
+    """
+    return (_cached_tables if math.comb(k, s) <= _CACHED_ROWS else _make_tables)(k, s, off)
+
+
+def _passing_subsets(fits, p0, bounded=True):
     """Subsets of each fit whose every member passes the membership test at ``p0``.
 
-    Yields (i, rss, size, positions), ``fits[i]`` the fit searched, for each
-    subset small enough to leave two residual degrees of freedom.
-    Every subset keeps the intercept when it is fitted.  Fits with the same
-    number of covariates k, intercept and n are searched together: sizes in
-    increasing order, one size's subsets of every such fit scored in one call
-    of ``_Fit.rss``.  Each fit's row of a table keeps each subset's rss at its
-    bit mask, so a member's drop-one rss is the entry at the mask without
-    that member's bit, scored one size earlier.
+    Yields (i, rss, size, positions), ``fits[i]`` the fit searched, for
+    subsets small enough to leave two residual degrees of freedom; every
+    subset keeps the intercept when it is fitted.  Unless ``bounded`` is
+    false, which yields every passing subset, it yields only those that
+    could be a fit's least-rss passing subset, and always that one.
+
+    The search runs from the largest size down.  Fits with the same number of
+    covariates k, intercept and n are searched together: one size's subsets
+    of every such fit are scored in one call of ``_Fit.rss``.  Each fit keeps
+    b, the least rss of a subset known to pass (infinite when unbounded).
+    Dropping a column cannot lower the rss, so no subset of a set whose rss
+    is above b can do better than b: a subset is scored only if every set one
+    position larger that contains it was scored with rss at most b (plus
+    ``_PRUNE_SLACK`` exact-fit floors, so that rounding of the computed rss
+    prunes nothing that could win).  Once a size is scored, the sizes above
+    it are tested, each subset with rss at most b: a member's drop-one rss is
+    the entry, at the mask without that member's bit, of a table that keeps
+    each scored subset's rss at its bit mask, and the test needs only the
+    least of them.  Every unscored subset lies above b, so that least one is
+    exact if some scored drop-one subset is at most b; otherwise the subset's
+    drop-one sets are scored in one leave-one-out batch.  Before the search,
+    a fit's stepwise prefix up to its first forced step, when that is not the
+    whole set, is tested with its drop-one sets to seed b.
     """
     groups = {}
     for i, fit in enumerate(fits):
         groups.setdefault((len(fit.cols), fit.off, fit.n), []).append(i)
     for (k, off, n), members in groups.items():
+        top = min(k, n - off - 2)
+        if top < 1:
+            continue
         group = [fits[i] for i in members]
         q_pools = [fit.q_pool for fit in group]
-        floor = np.array([fit.floor for fit in group])[:, None, None]
-        rss_at = np.empty((len(members), 1 << k))
-        for s in range(min(k, n - off - 2) + 1):
-            count = math.comb(k, s)
-            flat = itertools.chain.from_iterable(itertools.combinations(range(k), s))
-            combos = np.fromiter(flat, np.intp, count * s).reshape(count, s)
-            idx = np.empty((count, off + s), dtype=np.intp)
-            idx[:, :off] = np.arange(off)
-            idx[:, off:] = combos + off
-            scored = _Fit.rss([(fit, idx) for fit in group])
-            rss = np.array([r for r, _, _ in scored])
-            if not s:
-                rss_at[:, 0] = rss[:, 0]
-                continue
-            ok = np.array([v for _, v, _ in scored])
+        floor = np.array([fit.floor for fit in group])
+        b = np.full(len(group), math.inf)
+        rss_at = np.full((len(group), 1 << k), math.inf)
+        live = np.zeros((len(group), 1 << k), dtype=bool)
+
+        def passes(rows, s, rss, valid, drop_min):
+            """The membership test of size-s subsets of the fits ``rows``."""
             thr = {q: pvalues.beta_cdf_inv((n - s - off) / 2.0, 0.5,
                                            pvalues.pf_threshold(p0, q - s + 1))
                    for q in set(q_pools)}
-            x_thr = np.array([thr[q] for q in q_pools])[:, None]
-            for lo in range(0, count, _BATCH):
-                chunk, rss_c = combos[lo:lo + _BATCH], rss[:, lo:lo + _BATCH]
-                bits = 1 << chunk
-                mask = bits.sum(axis=1)
-                rss_at[:, mask] = rss_c
-                rss_minus = rss_at[:, mask[:, None] ^ bits]
-                keep = (ok[:, lo:lo + _BATCH] & (rss_minus > floor).all(axis=2)
-                        & (rss_c < x_thr * rss_minus.min(axis=2)))
-                for t, b in zip(*np.nonzero(keep)):
-                    yield members[t], float(rss_c[t, b]), s, tuple(chunk[b])
+            x_thr = np.array([thr[q] for q in q_pools])
+            return valid & (drop_min > floor[rows]) & (rss < x_thr[rows] * drop_min)
+
+        # the stepwise prefix before each fit's first forced step
+        seeds = {}
+        for t, fit in enumerate(group if bounded else ()):
+            f = next((j for j, step in enumerate(fit.trace) if step.forced), k)
+            if 0 < f < k and f <= top:
+                seeds[t] = f
+        seed_mask = np.full(len(group), -1)
+        prev = None
+        for s in range(top, -1, -1):
+            idx, combos, masks, children, parents = _size_tables(k, s, off)
+            cand = (np.ones((len(group), len(masks)), dtype=bool) if prev is None
+                    else live[:, parents].all(axis=2))
+            full = cand.all(axis=1)
+            rows = np.flatnonzero(cand.any(axis=1))
+            jobs = [(group[t], idx if full[t] else idx[cand[t]]) for t in rows]
+            if prev is None:
+                for t, f in seeds.items():
+                    whole = np.arange(off + f)
+                    jobs += [(group[t], whole[None]), (group[t], whole[_loo(off + f)[off:]])]
+            scored = _Fit.rss(jobs)
+            rss, valid = np.full(cand.shape, math.inf), np.zeros(cand.shape, dtype=bool)
+            if len(rows):
+                rss[cand] = _cat([r for r, _, _ in scored[:len(rows)]])
+                valid[cand] = _cat([v for _, v, _ in scored[:len(rows)]])
+            rss_at[:, masks] = rss
+            if prev is None:
+                # each seed's jobs follow: the prefix, then its drop-one sets
+                seeded = zip(seeds.items(), scored[len(rows)::2], scored[len(rows) + 1::2])
+                for (t, f), (r, v, _), (drop, _, _) in seeded:
+                    seed_mask[t] = (1 << f) - 1
+                    if passes(t, f, r[0], v[0], drop.min()):
+                        yield members[t], float(r[0]), f, tuple(range(f))
+                        b[t] = r[0]
+            else:
+                # test the size above, each subset with rss at most b
+                p_rss, p_valid, p_combos, p_masks, p_children, p_idx = prev
+                t_rows, t_cols = np.nonzero((p_rss <= b[:, None])
+                                            & (p_masks != seed_mask[:, None]))
+                drop_min = rss_at[t_rows[:, None], p_children[t_cols]].min(axis=1)
+                need = np.flatnonzero(drop_min > b[t_rows])
+                loo = _loo(off + s + 1)[off:]
+                got = _Fit.rss([(group[t_rows[h]], p_idx[t_cols[h]][loo]) for h in need])
+                drop_min[need] = [r.min() for r, _, _ in got]
+                hit_rss = p_rss[t_rows, t_cols]
+                keep = np.flatnonzero(passes(t_rows, s + 1, hit_rss, p_valid[t_rows, t_cols],
+                                             drop_min))
+                for h in keep:
+                    yield members[t_rows[h]], float(hit_rss[h]), s + 1, tuple(p_combos[t_cols[h]])
+                if bounded:
+                    np.minimum.at(b, t_rows[keep], hit_rss[keep])
+            if not len(rows):
+                break
+            live[:, masks] = ~(rss > (b + _PRUNE_SLACK * floor)[:, None])
+            prev = rss, valid, combos, masks, children, idx
 
 
 def _refine(m, fits, cfg):
@@ -432,6 +539,9 @@ def _refine(m, fits, cfg):
     covariates with their stepwise P-values.  Fits with as many covariates
     are searched together and all reported fits are solved together, so
     ``_Fit.rss`` runs one batched QR per problem shape, not several per fit.
+    The search is bounded (``_passing_subsets``): it scores only subsets
+    that can still beat the best passing one found, and gives the same
+    subset, bit for bit, as scoring them all.
     """
     search = [i for i, fit in enumerate(fits) if 0 < len(fit.cols) <= cfg.max_subset_refine]
     # (rss, size, positions) of each searched fit's best passing subset
@@ -455,9 +565,12 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
     column giving the largest rss reduction while the best candidate's
     Gaussian P-value stays below ``cfg.p0`` -- unconditionally while fewer than
     ``cfg.kmn`` covariates are in, with such steps flagged as forced.  If the
-    stepwise set has at most ``cfg.max_subset_refine`` members, an exhaustive
-    search over its subsets then returns the least-rss subset whose every
-    member passes the all-subset membership test at ``p0``.
+    stepwise set has at most ``cfg.max_subset_refine`` members, a search of
+    its subsets then returns the least-rss subset whose every member passes
+    the all-subset membership test at ``p0``.  The search runs from the
+    whole set down and skips every subset of a set whose rss is already
+    above that of a passing subset; the steps before the first forced one
+    give its first bound.  It returns what scoring every subset would.
 
     The stepwise pass and the refinement are separate stages: the pass ends
     with the ``_Fit`` of its selected set, which keeps its trace and
@@ -572,7 +685,7 @@ def all_subset_select(m, y, cfg=None, exclude=(), cap=25):
         except CollinearColumn:
             _record_in_span(state, m.col(j))
     fit = _Fit(state, cand, q_pool)
-    retained = sorted((hit for _, *hit in _passing_subsets([fit], cfg.p0)),
+    retained = sorted((hit for _, *hit in _passing_subsets([fit], cfg.p0, bounded=False)),
                       key=lambda r: (-r[1], r[0], r[2]))
     # drop retained subsets contained in a larger retained subset
     maximal = []

@@ -7,6 +7,7 @@ every run checks the same designs.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+import gausscov.select as select  # noqa: E402
 from gausscov import DataMatrix, SelectionConfig, all_subset_select, f1st, f3st  # noqa: E402
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
@@ -77,3 +79,22 @@ def test_a_column_appended_twice_is_never_kept_twice(problem, data):
     for r in [f1st(m, y, cfg), *all_subset_select(m, y, cfg)]:
         assert in_unit_interval(r.pg)
         assert not {j, q} <= set(r.selected)
+
+
+@SETTINGS
+@given(problems(max_q=16), st.sampled_from([0, 2, 4]))
+def test_refined_set_is_the_exhaustive_searchs_best(problem, kmn):
+    # the bounded search that f1st refines with gives the same (rss, size,
+    # positions) as scoring every subset of its stepwise set
+    X, y, cfg = problem
+    cfg = dataclasses.replace(cfg, kmn=kmn, max_subset_refine=20)
+    m = DataMatrix(X)
+    fit = f1st(m, y, cfg, _stepwise=True)
+    rss, size, pos = min((tuple(hit) for _, *hit in
+                          select._passing_subsets([fit], cfg.p0, bounded=False)),
+                         default=(math.inf, 0, ()))
+    r = f1st(m, y, cfg)
+    assert r.selected == [fit.cols[i] for i in pos]
+    assert len(r.selected) == size
+    if size:
+        assert r.rss == rss

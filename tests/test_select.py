@@ -11,6 +11,7 @@ mpmath.
 import dataclasses
 import itertools
 import json
+import math
 import warnings
 
 import numpy as np
@@ -31,7 +32,7 @@ from gausscov import (
     fgr1st,
     standardize,
 )
-from gausscov.matrix import ResidualState, _record_in_span, extend, gram
+from gausscov.matrix import ResidualState, _record_in_span, extend, extend_intercept, gram
 
 
 # ---------------------------------------------------------------------------
@@ -432,9 +433,10 @@ class TestF1st:
         assert r.pg == [t.p_g for t in r.trace]
 
     @pytest.mark.parametrize("intercept", [True, False])
-    def test_reported_fit_makes_two_small_qr_calls(self, intercept, monkeypatch):
+    def test_unrefined_fit_reads_only_the_intercepts_drop_one(self, intercept, monkeypatch):
         # the reported fit is read from the stepwise state: one small QR for
-        # the fit and one batch of QRs for every term's drop-one fit
+        # the fit and, when the intercept is fitted, one for its drop-one fit;
+        # the members keep their stepwise P-values, so no other term's is needed
         rng = np.random.default_rng(62)
         X, y = make_instance(rng, 60, 10, [(0, 5.0), (4, 4.0), (7, 3.0)])
         cfg = SelectionConfig(max_subset_refine=0, intercept=intercept)
@@ -448,7 +450,7 @@ class TestF1st:
         monkeypatch.setattr(np.linalg, "qr", counting)
         counted = f1st(DataMatrix(X), y, cfg)
         assert sorted(counted.selected) == [0, 4, 7]
-        assert len(rows) == 2
+        assert len(rows) == 1 + intercept
         # the small problems never see the n rows
         assert max(rows) <= len(counted.selected) + 2
         assert counted == plain
@@ -673,6 +675,164 @@ class TestBatchRefinement:
         for batch in (7, 1):
             monkeypatch.setattr(select, "_BATCH", batch)
             assert run() == want, batch
+
+
+def searched_best(fits, p0, bounded=True):
+    """Each fit's least (rss, size, positions) among the subsets the search yields."""
+    best = [(math.inf, 0, ())] * len(fits)
+    for i, *hit in select._passing_subsets(fits, p0, bounded):
+        best[i] = min(best[i], tuple(hit))
+    return best
+
+
+def pool_fit(X, y, intercept, forced_from):
+    """The _Fit of all of X's columns as all_subset_select factors them, with a
+    trace whose steps are forced from step ``forced_from`` on."""
+    m = DataMatrix(X)
+    state = extend_intercept(ResidualState(y)) if intercept else ResidualState(y)
+    for j in range(m.q):
+        try:
+            extend(state, m, j)
+        except CollinearColumn:
+            _record_in_span(state, m.col(j))
+    trace = [select.TraceStep(j, 0.5, 0.5, 1.0, forced=j >= forced_from) for j in range(m.q)]
+    return select._Fit(state, range(m.q), m.q, trace)
+
+
+def bounded_corpus():
+    """(X, y, cfg) of stepwise passes, four kinds by seed: planted signals,
+    a signal with a near twin that the stepwise pass may take first, pairs of
+    columns equal to 1e-4, whose swaps change the rss by little, and pure
+    noise; most passes take forced steps."""
+    for seed in range(160):
+        rng = np.random.default_rng(seed)
+        kind = seed % 4
+        n, q = int(rng.integers(20, 50)), int(rng.integers(10, 40))
+        X = rng.standard_normal((n, q))
+        if kind == 1:
+            X[:, 0] = X[:, 1] + 0.2 * rng.standard_normal(n)
+            y = X[:, 1] + X[:, 2] + 0.3 * rng.standard_normal(n)
+        else:
+            if kind == 2:
+                X[:, 1::2] = X[:, ::2][:, :q // 2] + 1e-4 * rng.standard_normal((n, q // 2))
+            active = rng.choice(q, size=3, replace=False)
+            scale = [4.0, 0.0, 3.0, 0.0][kind]
+            y = X[:, active] @ (scale * rng.uniform(0.5, 1.5, 3)) + rng.standard_normal(n)
+        cfg = SelectionConfig(kmn=int(rng.integers(4, 9)), intercept=bool(seed % 8 < 4),
+                              p0=float(rng.choice([0.01, 0.1])))
+        yield X, y, cfg
+
+
+class TestBoundedRefinement:
+    """The bounded subset search finds what scoring every subset finds.
+
+    ``_refine`` keeps, of each fit's passing subsets, the least by (rss,
+    size, positions); the bounded search must give it exactly, bit for bit,
+    while scoring far fewer subsets than the 2^k - 1 of the unbounded one.
+    """
+
+    def test_best_equals_the_unbounded_search_and_the_reference(self):
+        seeded = {"passes": 0, "fails": 0}
+        empty = 0
+        for X, y, cfg in bounded_corpus():
+            m = DataMatrix(X)
+            fit = f1st(m, y, cfg, _stepwise=True)
+            best, = searched_best([fit], cfg.p0)
+            assert best == searched_best([fit], cfg.p0, bounded=False)[0]
+            r = next(select._refine(m, [fit], cfg))
+            assert r.selected == [fit.cols[i] for i in best[2]]
+            if best[2]:
+                assert r.rss == best[0]
+            empty += not best[2]
+            want = ref_refine(X, y, fit.cols, cfg.p0, m.q, cfg.intercept)
+            assert r.selected == want
+            f = [t.forced for t in fit.trace].index(True) if any(
+                t.forced for t in fit.trace) else len(fit.cols)
+            if 0 < f < len(fit.cols):
+                hits = {h[3] for h in select._passing_subsets([fit], cfg.p0, bounded=False)}
+                seeded["passes" if tuple(range(f)) in hits else "fails"] += 1
+        # forced steps whose unforced prefix passes, and whose prefix fails;
+        # and passes in which nothing passes
+        assert min(seeded.values()) >= 2 and empty >= 3, (seeded, empty)
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    @pytest.mark.parametrize("forced_from", [2, 3, 9])
+    def test_more_covariates_than_the_residual_degrees_allow(self, intercept, forced_from):
+        # nine columns on eight rows: only subsets of at most 8 - off - 2
+        # covariates are searched, and the last columns lie in the span of
+        # the first ones
+        rng = np.random.default_rng(97)
+        X = rng.standard_normal((8, 9))
+        y = X[:, :2] @ [3.0, -2.0] + 0.3 * rng.standard_normal(8)
+        fit = pool_fit(X, y, intercept, forced_from)
+        assert len(fit.cols) > 8 - intercept - 2
+        for p0 in (0.01, 0.2, 0.6):
+            best, = searched_best([fit], p0)
+            assert best == searched_best([fit], p0, bounded=False)[0]
+            assert best[2], p0
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_fits_searched_together_get_what_each_gets_alone(self, intercept):
+        # node passes as fgr1st refines them, free and forced, many with the
+        # same number of covariates and so searched as one group
+        X = node_design(5, n=40, q=16)
+        m = DataMatrix(X)
+        g = gram(m, centred=intercept)
+        fits = []
+        for kmn in (0, 3, 5):
+            cfg = SelectionConfig(kmn=kmn, intercept=intercept)
+            fits += [f1st(m, m.col(j), cfg, exclude=(j,), _gram=(g, j), _stepwise=True)
+                     for j in range(m.q)]
+        sizes = [len(f.cols) for f in fits]
+        assert max(sizes.count(k) for k in set(sizes)) >= 10
+        together = searched_best(fits, 0.01)
+        assert together == [searched_best([f], 0.01, bounded=False)[0] for f in fits]
+        assert any(t[2] for t in together)
+
+    def test_scores_far_fewer_subsets_than_the_exhaustive_search(self, monkeypatch):
+        # kmn=10 on four strong signals, as in a simulation replicate: every
+        # subset that drops a signal is far above the best passing rss
+        rng = np.random.default_rng(31)
+        X = rng.standard_normal((71, 400))
+        y = X[:, :4] @ [20.0, 20.0, 20.0, 20.0] + rng.standard_normal(71)
+        cfg = SelectionConfig(kmn=10)
+        fit = f1st(DataMatrix(X), y, cfg, _stepwise=True)
+        k = len(fit.cols)
+        assert k >= 10 and any(t.forced for t in fit.trace)
+        scored, rss = [], select._Fit.rss
+
+        def counting(jobs, factors=False):
+            scored.append(sum(len(idx) for _, idx in jobs))
+            return rss(jobs, factors)
+
+        monkeypatch.setattr(select._Fit, "rss", staticmethod(counting))
+        best, = searched_best([fit], cfg.p0)
+        assert sorted(fit.cols[i] for i in best[2]) == [0, 1, 2, 3]
+        assert sum(scored) * 8 < 2 ** k - 1, scored
+        scored.clear()
+        assert searched_best([fit], cfg.p0, bounded=False) == [best]
+        assert sum(scored) == 2 ** k
+
+    def test_rounding_that_lowers_an_rss_when_a_column_goes(self):
+        # on this integer design the computed rss of some subsets is below
+        # that of a subset with one more column, which exact arithmetic rules
+        # out; the search prunes with a slack, and still finds what scoring
+        # every subset finds
+        rng = np.random.default_rng(83)
+        X = np.round(2 * rng.standard_normal((10, 13)))
+        y = np.round(X[:, :3].sum(axis=1) + rng.standard_normal(10))
+        cfg = SelectionConfig(p0=0.9, kmn=8, intercept=False)
+        fit = f1st(DataMatrix(X), y, cfg, _stepwise=True)
+        k = len(fit.cols)
+        rss_at = {}
+        for s in range(min(k, fit.n - 2) + 1):
+            combos = np.array(list(itertools.combinations(range(k), s)), dtype=np.intp)
+            rss, _, _ = select._Fit.rss([(fit, combos.reshape(len(combos), s))])[0]
+            rss_at.update(zip((sum(1 << int(i) for i in c) for c in combos), rss))
+        assert any(rss_at[mask ^ 1 << j] < r for mask, r in rss_at.items()
+                   for j in range(k) if mask >> j & 1)
+        best, = searched_best([fit], cfg.p0)
+        assert best[2] and best == searched_best([fit], cfg.p0, bounded=False)[0]
 
 
 # ---------------------------------------------------------------------------
