@@ -397,12 +397,11 @@ def _make_tables(k, s, off):
     idx = np.empty((count, off + s), dtype=np.intp)
     idx[:, :off] = np.arange(off)
     idx[:, off:] = combos + off
-    bits = 1 << combos
-    masks = bits.sum(axis=1)
+    masks = (1 << combos).sum(axis=1)
     outside = np.ones((count, k), dtype=bool)
     outside[np.arange(count)[:, None], combos] = False
     parents = masks[:, None] | (1 << np.nonzero(outside)[1].reshape(count, k - s))
-    tables = idx, combos, masks, masks[:, None] ^ bits, parents
+    tables = idx, masks, parents
     for t in tables:
         t.setflags(write=False)
     return tables
@@ -412,12 +411,12 @@ _cached_tables = functools.lru_cache(maxsize=None)(_make_tables)
 
 
 def _size_tables(k, s, off):
-    """(idx, combos, masks, children, parents) of the size-s subsets of k covariates.
+    """(idx, masks, parents) of the size-s subsets of k covariates.
 
-    ``combos`` lists each subset's positions, in lexicographic order, and
-    ``idx`` its columns of A (after the intercept, when ``off``); ``masks``
-    holds its bit mask, ``children`` the masks of its drop-one subsets and
-    ``parents`` those of the sets one position larger that contain it.  Tables
+    ``idx`` lists each subset's columns of A, its positions in lexicographic
+    order plus ``off`` after the intercept's column when ``off``; ``masks``
+    holds its bit mask and ``parents`` the masks of the sets one position
+    larger that contain it.  Tables
     of at most ``_CACHED_ROWS`` subsets are kept for the life of the process,
     so a search of a few covariates builds none; larger ones, whose scoring
     costs far more than building them, are built each time.
@@ -442,8 +441,8 @@ def _passing_subsets(fits, p0, bounded=True):
     is above b can do better than b: a subset is scored only if every set one
     position larger that contains it was scored with rss at most b (plus
     ``_PRUNE_SLACK`` exact-fit floors, so that rounding of the computed rss
-    prunes nothing that could win).  Once a size is scored, the sizes above
-    it are tested, each subset with rss at most b: a member's drop-one rss is
+    prunes nothing that could win).  Once a size is scored, the size above
+    it is tested, each subset with rss at most b: a member's drop-one rss is
     the entry, at the mask without that member's bit, of a table that keeps
     each scored subset's rss at its bit mask, and the test needs only the
     least of them.  Every unscored subset lies above b, so that least one is
@@ -483,7 +482,7 @@ def _passing_subsets(fits, p0, bounded=True):
         seed_mask = np.full(len(group), -1)
         prev = None
         for s in range(top, -1, -1):
-            idx, combos, masks, children, parents = _size_tables(k, s, off)
+            idx, masks, parents = _size_tables(k, s, off)
             cand = (np.ones((len(group), len(masks)), dtype=bool) if prev is None
                     else live[:, parents].all(axis=2))
             full = cand.all(axis=1)
@@ -509,25 +508,27 @@ def _passing_subsets(fits, p0, bounded=True):
                         b[t] = r[0]
             else:
                 # test the size above, each subset with rss at most b
-                p_rss, p_valid, p_combos, p_masks, p_children, p_idx = prev
+                p_rss, p_valid, p_masks, p_idx = prev
                 t_rows, t_cols = np.nonzero((p_rss <= b[:, None])
                                             & (p_masks != seed_mask[:, None]))
-                drop_min = rss_at[t_rows[:, None], p_children[t_cols]].min(axis=1)
-                need = np.flatnonzero(drop_min > b[t_rows])
                 loo = _loo(off + s + 1)[off:]
-                got = _Fit.rss([(group[t_rows[h]], p_idx[t_cols[h]][loo]) for h in need])
-                drop_min[need] = [r.min() for r, _, _ in got]
-                hit_rss = p_rss[t_rows, t_cols]
-                keep = np.flatnonzero(passes(t_rows, s + 1, hit_rss, p_valid[t_rows, t_cols],
-                                             drop_min))
-                for h in keep:
-                    yield members[t_rows[h]], float(hit_rss[h]), s + 1, tuple(p_combos[t_cols[h]])
-                if bounded:
-                    np.minimum.at(b, t_rows[keep], hit_rss[keep])
+                for lo in range(0, len(t_rows), _BATCH):
+                    tr, tc = t_rows[lo:lo + _BATCH], t_cols[lo:lo + _BATCH]
+                    pos = p_idx[tc, off:] - off
+                    drop_min = rss_at[tr[:, None], p_masks[tc, None] ^ (1 << pos)].min(axis=1)
+                    need = np.flatnonzero(drop_min > b[tr])
+                    got = _Fit.rss([(group[tr[h]], p_idx[tc[h]][loo]) for h in need])
+                    drop_min[need] = [r.min() for r, _, _ in got]
+                    hit_rss = p_rss[tr, tc]
+                    keep = np.flatnonzero(passes(tr, s + 1, hit_rss, p_valid[tr, tc], drop_min))
+                    for h in keep:
+                        yield members[tr[h]], float(hit_rss[h]), s + 1, tuple(pos[h])
+                    if bounded:
+                        np.minimum.at(b, tr[keep], hit_rss[keep])
             if not len(rows):
                 break
             live[:, masks] = ~(rss > (b + _PRUNE_SLACK * floor)[:, None])
-            prev = rss, valid, combos, masks, children, idx
+            prev = rss, valid, masks, idx
 
 
 def _refine(m, fits, cfg):
