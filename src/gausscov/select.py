@@ -45,7 +45,10 @@ __all__ = [
 # be 0/0.
 _PERFECT_FIT_REL = 1e-12
 
-_BATCH = 8192
+# Problems per batched QR call in _Fit.rss.  Each call gathers its problems
+# and qr copies them, so this bounds both transients (about 1 MB each for
+# 12 x 12 problems); larger batches factor no faster.
+_BATCH = 1024
 
 # The bounded subset search keeps a subset while its rss is within this many
 # exact-fit floors (1e-9 of the rss after the intercept) of the best passing
@@ -55,6 +58,10 @@ _PRUNE_SLACK = 1e3
 
 # Subset tables of at most this many subsets are built once per process.
 _CACHED_ROWS = 4096
+
+# The subset search holds two tables of 2^k cells per fit of k covariates; it
+# searches fits together only while their tables hold at most this many cells.
+_SEARCH_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -270,6 +277,10 @@ class _Fit:
         coefficients.  A fit is valid when every term keeps more than
         ``COLLINEARITY_TOL`` of its squared norm orthogonal to the terms before
         it, as in stepwise.  F is returned only with ``factors``, else None.
+        Only F's upper triangle is R: it is read from ``qr(mode="raw")``,
+        which skips ``mode="r"``'s copy through ``triu``, so below the
+        diagonal F holds Householder vectors.  The search reads only the
+        diagonal and ``solve_triangular`` only the upper triangle.
 
         The problems of all jobs are grouped by their shape, R's rows (at least
         s + 1) by s + 1.  A group stacks its jobs' R^T (with c as one more
@@ -309,7 +320,9 @@ class _Fit:
                 o = ends.searchsorted(np.arange(lo, lo + len(g)), side="right")[:, None]
                 # [R[:, S] | c] of each problem, gathered transposed
                 at = rc[o, np.concatenate((g, np.full((len(g), 1), w)), axis=1)]
-                f = np.linalg.qr(at.swapaxes(1, 2), mode="r")
+                # raw mode leaves R in the upper triangle, reflectors below it
+                h, _ = np.linalg.qr(at.swapaxes(1, 2), mode="raw")
+                f = h.swapaxes(1, 2)[:, :cols]
                 d = np.diagonal(f, axis1=1, axis2=2) ** 2
                 rss[b] = rss0[o[:, 0]] + d[:, s]
                 valid[b] = (d[:, :s] > COLLINEARITY_TOL * norm2[o, g]).all(axis=1)
@@ -435,7 +448,10 @@ def _passing_subsets(fits, p0, bounded=True):
 
     The search runs from the largest size down.  Fits with the same number of
     covariates k, intercept and n are searched together: one size's subsets
-    of every such fit are scored in one call of ``_Fit.rss``.  Each fit keeps
+    of every such fit are scored in one call of ``_Fit.rss``.  So that memory
+    does not grow with the number of fits, they are searched in chunks of
+    ``_SEARCH_CELLS >> k`` fits (at least one), one chunk after another; each
+    fit's search is its own, so the chunks give the same bits.  Each fit keeps
     b, the least rss of a subset known to pass (infinite when unbounded).
     Dropping a column cannot lower the rss, so no subset of a set whose rss
     is above b can do better than b: a subset is scored only if every set one
@@ -454,7 +470,11 @@ def _passing_subsets(fits, p0, bounded=True):
     groups = {}
     for i, fit in enumerate(fits):
         groups.setdefault((len(fit.cols), fit.off, fit.n), []).append(i)
+    chunks = []
     for (k, off, n), members in groups.items():
+        step = max(1, _SEARCH_CELLS >> k)
+        chunks += [(k, off, n, members[lo:lo + step]) for lo in range(0, len(members), step)]
+    for k, off, n, members in chunks:
         top = min(k, n - off - 2)
         if top < 1:
             continue

@@ -8,7 +8,7 @@ counts exactly.  It reads ``perfbench/`` and writes only under the test's
 temporary directory.  The 31 cases take about half a minute on two cores, so
 the test is marked slow:
 
-    python -m pytest -m slow tests/test_reference.py
+    PYTHONPATH=src python -m pytest -m slow tests/test_reference.py
 """
 
 import json

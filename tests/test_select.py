@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -651,6 +652,29 @@ class TestBatchRefinement:
         valid = np.concatenate([v for _, v, _ in alone])
         assert valid.any() and not valid.all()
 
+    def test_factors_upper_triangle_is_that_of_qr_mode_r(self):
+        # _Fit.rss reads F from qr(mode="raw"): its upper triangle must be the
+        # bits qr(mode="r") gives each problem [R[:, S] | c] alone, zero rows
+        # included where R has fewer rows than s + 1
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((9, 14))
+        X[:, 3] = X[:, 0] - X[:, 1] + 1e-6 * rng.standard_normal(9)
+        m = DataMatrix(X)
+        fits = [f1st(m, y, SelectionConfig(kmn=kmn, intercept=intercept), _stepwise=True)
+                for y, kmn in ((X[:, :3].sum(axis=1), 6), (rng.standard_normal(9), 4))
+                for intercept in (True, False)]
+        jobs = [(f, np.array(list(itertools.combinations(range(len(f.rt)), s)), dtype=np.intp))
+                for f in fits for s in range(1, len(f.rt) + 1)]
+        padded = 0
+        for (fit, idx), (_, _, fs) in zip(jobs, select._Fit.rss(jobs, factors=True)):
+            s = idx.shape[1]
+            for g, f in zip(idx, fs):
+                a = np.zeros((max(fit.p, s + 1), s + 1))
+                a[:fit.p] = np.column_stack([fit.rt[g].T, fit.c])
+                assert np.array_equal(np.triu(f), np.linalg.qr(a, mode="r"))
+            padded += fit.p < s + 1
+        assert padded
+
     def test_small_batches_change_nothing(self, monkeypatch):
         # with few problems per QR call, the flat problem list of a shape
         # group is cut into batches that span jobs; each job must get its own
@@ -812,6 +836,38 @@ class TestBoundedRefinement:
         scored.clear()
         assert searched_best([fit], cfg.p0, bounded=False) == [best]
         assert sum(scored) == 2 ** k
+
+    def test_memory_does_not_grow_with_the_fits_searched_together(self, monkeypatch):
+        # fgr1st's node passes forced to 12 covariates on a noise design: one
+        # group of p fits whose 2^12-cell tables, unchunked, grow with p; under
+        # a budget of one fit's tables the search's peak is that of one fit
+        def node_fits(p):
+            m = DataMatrix(np.random.default_rng(3).standard_normal((60, p)))
+            g = gram(m, centred=True)
+            return [f1st(m, m.col(j), SelectionConfig(kmn=12), exclude=(j,), _gram=(g, j),
+                         _stepwise=True) for j in range(p)]
+
+        def traced_search(fits):
+            tracemalloc.start()
+            try:
+                best = searched_best(fits, 0.01)
+                return best, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak, best = {}, {}
+        for p in (16, 64):
+            fits = node_fits(p)
+            assert {len(f.cols) for f in fits} == {12}
+            best[p], peak[p, "default"] = traced_search(fits)
+            monkeypatch.setattr(select, "_SEARCH_CELLS", 1 << 12)
+            got, peak[p, "small"] = traced_search(fits)
+            monkeypatch.undo()
+            assert got == best[p]
+        assert any(b[2] for b in best[64])
+        assert peak[64, "small"] < 1.2 * peak[16, "small"], peak
+        # less than the tables of all 64 fits, and far less than unchunked
+        assert peak[64, "small"] < 64 * 2 ** 12 * 9 < peak[64, "default"], peak
 
     def test_rounding_that_lowers_an_rss_when_a_column_goes(self):
         # on this integer design the computed rss of some subsets is below

@@ -6,15 +6,17 @@ import threading
 import numpy as np
 import pytest
 
+import gausscov.select as select
 import gausscov.sim as sim_mod
 from gausscov import (
     DataMatrix,
     DomainError,
     SelectionConfig,
     SimSpec,
+    f1st,
     run_sim,
 )
-from gausscov.sim import score_selection
+from gausscov.sim import RepRecord, SimReport, score_selection
 
 
 class TestScore:
@@ -78,12 +80,13 @@ class TestRunSim:
         assert outs[0] == outs[1]
 
     def test_replicates_run_in_order_on_the_calling_thread(self, monkeypatch):
+        # each replicate runs only the stepwise pass; the wrapper records what
+        # f1st would select on the same call, to pin the replicates' order
         seen, real = [], sim_mod.f1st
 
-        def recording(*args, **kwargs):
-            r = real(*args, **kwargs)
-            seen.append((threading.get_ident(), r.selected))
-            return r
+        def recording(m, y, cfg=None, **kwargs):
+            seen.append((threading.get_ident(), real(m, y, cfg).selected))
+            return real(m, y, cfg, **kwargs)
 
         spec = SimSpec(n=50, q=60, active_size=2, beta=10.0, reps=5, seed=3)
         want = run_sim(spec)
@@ -135,6 +138,74 @@ class TestRunSim:
         with pytest.raises(DomainError):
             run_sim(SimSpec(n=30, q=3, active_size=5, reps=2, seed=1),
                     design=design)
+
+
+def per_replicate_reference(spec):
+    """run_sim's report when each replicate runs the whole of f1st on its own."""
+    m = sim_mod._make_design(spec)
+    records = []
+    for r, ss in enumerate(np.random.SeedSequence([spec.seed, 1]).spawn(spec.reps)):
+        rng = np.random.Generator(np.random.Philox(ss))
+        active = sorted(int(a) for a in rng.choice(m.q, size=spec.active_size, replace=False))
+        y = rng.standard_normal(m.n) * spec.sigma
+        if spec.beta != 0.0 and active:
+            y += spec.beta * m.values[:, active].sum(axis=1)
+        truth = active if spec.beta != 0.0 else []
+        sel = f1st(m, y, spec.selection).selected
+        records.append(RepRecord(r, truth, sel, *score_selection(truth, sel), 0.0))
+    return SimReport(spec, sum(r.fp for r in records) / spec.reps,
+                     sum(r.fn for r in records) / spec.reps,
+                     100.0 * sum(r.exact for r in records) / spec.reps, 0.0, records)
+
+
+class TestBatchedRefinement:
+    """The replicates' stepwise passes are refined in one batch, as in fgr1st."""
+
+    def test_records_equal_per_replicate_f1st(self):
+        unrefined = selected = 0
+        for kmn in (0, 10):
+            for intercept in (True, False):
+                for beta in (0.0, 8.0):
+                    for max_subset_refine in (2, 20):
+                        cfg = SelectionConfig(kmn=kmn, intercept=intercept,
+                                              max_subset_refine=max_subset_refine)
+                        spec = SimSpec(n=40, q=60, active_size=3, beta=beta, reps=12,
+                                       seed=kmn + 2 * intercept + int(beta), selection=cfg)
+                        got = run_sim(spec)
+                        want = per_replicate_reference(spec)
+                        assert (got.to_json(include_timing=False)
+                                == want.to_json(include_timing=False)), spec
+                        selected += sum(bool(r.selected) for r in got.records)
+                        if max_subset_refine == 2:
+                            unrefined += sum(len(r.selected) > 2 for r in got.records)
+        # some replicates select, and some are too large to refine
+        assert selected > 50 and unrefined > 20, (selected, unrefined)
+
+    def test_replicates_share_one_batched_refinement(self, monkeypatch):
+        # every replicate's subset search and reported fit share one batched
+        # QR per problem shape (with batches that hold every problem of a
+        # shape): the QR calls do not grow with the replicates
+        counts = {}
+        for reps in (20, 80):
+            qr, calls = np.linalg.qr, []
+
+            def counting(a, *args, **kwargs):
+                calls.append(np.shape(a))
+                return qr(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, "qr", counting)
+            monkeypatch.setattr(select, "_BATCH", 1 << 20)
+            rep = run_sim(SimSpec(n=60, q=200, active_size=3, beta=8.0, reps=reps, seed=4,
+                                  selection=SelectionConfig(kmn=10)))
+            monkeypatch.undo()
+            assert rep.pct_correct == 100.0
+            counts[reps] = len(calls)
+        assert 0 < counts[20] < 20 and counts[80] < 1.5 * counts[20], counts
+
+    def test_seconds_share_the_refinement_equally(self):
+        rep = run_sim(SimSpec(n=50, q=60, active_size=2, beta=10.0, reps=6, seed=3))
+        assert all(r.seconds > 0 for r in rep.records)
+        assert rep.mean_seconds == sum(r.seconds for r in rep.records) / 6
 
 
 class TestReportOutput:
