@@ -320,7 +320,6 @@ class _Fit:
                 o = ends.searchsorted(np.arange(lo, lo + len(g)), side="right")[:, None]
                 # [R[:, S] | c] of each problem, gathered transposed
                 at = rc[o, np.concatenate((g, np.full((len(g), 1), w)), axis=1)]
-                # raw mode leaves R in the upper triangle, reflectors below it
                 h, _ = np.linalg.qr(at.swapaxes(1, 2), mode="raw")
                 f = h.swapaxes(1, 2)[:, :cols]
                 d = np.diagonal(f, axis1=1, axis2=2) ** 2

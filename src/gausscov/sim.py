@@ -191,13 +191,11 @@ def run_sim(spec, design=None):
         return truth, out, time.perf_counter() - t0
 
     runs = ordered_map(one_rep, range(spec.reps))
-    share = 0.0
+    sels, share = [out for _, out, _ in runs], 0.0
     if spec.method == "f1st":
         t0 = time.perf_counter()
-        sels = [r.selected for r in _refine(m, [fit for _, fit, _ in runs], spec.selection)]
+        sels = [r.selected for r in _refine(m, sels, spec.selection)]
         share = (time.perf_counter() - t0) / spec.reps
-    else:
-        sels = [sel for _, sel, _ in runs]
     records = []
     for r, ((truth, _, dt), sel) in enumerate(zip(runs, sels)):
         fp, fn, exact = score_selection(truth, sel)

@@ -2,6 +2,7 @@
 
 import json
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -202,9 +203,18 @@ class TestBatchedRefinement:
             counts[reps] = len(calls)
         assert 0 < counts[20] < 20 and counts[80] < 1.5 * counts[20], counts
 
-    def test_seconds_share_the_refinement_equally(self):
+    def test_seconds_share_the_refinement_equally(self, monkeypatch):
+        # a batch refinement that takes 0.06 s adds 0.01 s to each of six
+        # records, and mean_seconds stays the total over the replicates
+        real = sim_mod._refine
+
+        def slow(*args):
+            time.sleep(0.06)
+            return real(*args)
+
+        monkeypatch.setattr(sim_mod, "_refine", slow)
         rep = run_sim(SimSpec(n=50, q=60, active_size=2, beta=10.0, reps=6, seed=3))
-        assert all(r.seconds > 0 for r in rep.records)
+        assert all(r.seconds >= 0.01 for r in rep.records)
         assert rep.mean_seconds == sum(r.seconds for r in rep.records) / 6
 
 
