@@ -1,6 +1,11 @@
 """Delimited I/O and feature dictionaries: lags, trigonometric basis, interactions.
 
 The loaders accept a plain rectangular CSV (RFC-4180 quoting, numeric body).
+``load_csv`` converts each row as the CSV reader yields it, so it holds the
+text of one row and the growing matrix, never the file's cells as strings.
+It reports a row of the wrong width first, wherever it lies, and otherwise
+the first offending cell in row-major order, with file coordinates.
+
 Feature constructors return DataMatrix objects whose column names record how
 each feature was built; the interaction expansion can also stream column
 blocks so very wide dictionaries never have to live in memory at once.
@@ -37,6 +42,10 @@ __all__ = [
 
 _NA_TOKENS = {"", "na", "n/a", "null"}
 
+# Cells per block of parsed rows while a CSV is read (512 KB of floats); the
+# blocks are joined once into the matrix at the end of the file.
+_BLOCK_CELLS = 1 << 16
+
 
 def _parse_cell(text):
     """Return the cell's value, nan for a missing value, None for a non-number."""
@@ -47,6 +56,35 @@ def _parse_cell(text):
         return float(s)
     except ValueError:
         return None
+
+
+def _rows(fh, delimiter):
+    """(file line, cells) of each row; a row's line is the one it starts on."""
+    reader = csv.reader(fh, delimiter=delimiter)
+    line = 1
+    for row in reader:
+        if row:  # blank lines are skipped but still counted
+            yield line, row
+        line = reader.line_num + 1
+
+
+def _offender(path, line, row, v, j, drop):
+    """The error for a row's first offending cell, or None.
+
+    ``v`` holds the row's values before column j, the first non-number (the
+    row's width when there is none).  An infinite value offends under both
+    policies, a missing value only under 'reject'.
+    """
+    bad = np.isinf(v[:j]) if drop else ~np.isfinite(v[:j])
+    if bad.any():
+        c = int(bad.argmax())
+        if np.isnan(v[c]):
+            return MissingValue(f"{path}: missing value", row=line, col=c + 1)
+        return ParseError(f"{path}: not a finite number: {row[c].strip()!r}",
+                          row=line, col=c + 1)
+    if j < len(row):
+        return ParseError(f"{path}: not a number: {row[j].strip()!r}", row=line, col=j + 1)
+    return None
 
 
 def load_csv(path, header=None, delimiter=",", na_policy="reject"):
@@ -66,65 +104,75 @@ def load_csv(path, header=None, delimiter=",", na_policy="reject"):
 
     Cells are read as ``float()`` reads them.  A missing value is an empty or
     whitespace-only cell, NA, N/A or NULL in any case, or any cell whose text
-    parses to NaN (nan, +nan, -nan).  Errors report the first offender in
-    row-major order; a row's coordinate is the file line it starts on, blank
-    lines included.  Column names default to x1..xq when there is no header.
+    parses to NaN (nan, +nan, -nan).  A cell that reads as infinite (inf,
+    -Infinity, 1e400) is an error under both policies, as a non-number is.
+    Column names default to x1..xq when there is no header.
+
+    Each row is converted as it is read, into blocks of floats that are
+    joined once into the Fortran-ordered matrix the DataMatrix keeps, so
+    loading holds the text of one row plus about twice the matrix, not the
+    file's cells as strings.
+
+    Errors report file coordinates: a row's is the file line it starts on,
+    blank lines included.  A row whose width differs from the first row's is
+    reported first, wherever it lies.  Otherwise the first offender in
+    row-major order is reported: a non-number, an infinite value, or under
+    'reject' a missing value.  Rows after it are read only to check their
+    widths.
     """
     if na_policy not in ("reject", "drop"):
         raise DomainError(f"na_policy must be 'reject' or 'drop', got {na_policy!r}")
     if not isinstance(delimiter, str) or len(delimiter) != 1:
         raise DomainError(f"delimiter must be one character, got {delimiter!r}")
+    drop = na_policy == "drop"
+    names, blocks, offender = None, [], None
+    seen = n = 0  # data rows read, and kept
     # utf-8-sig drops a leading byte-order mark, which would otherwise stick to
     # the first cell
     with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
-        rows, lines, line = [], [], 1
-        for row in reader:
-            if row:  # blank lines are skipped but still counted
-                rows.append(row)
-                lines.append(line)
-            line = reader.line_num + 1
-    if not rows:
-        raise ParseError(f"{path}: file is empty")
-    width = len(rows[0])
-    for r, line in zip(rows, lines):
-        if len(r) != width:
-            raise ParseError(f"{path}: expected {width} fields, found {len(r)}", row=line)
-    names = None
-    if header is True or header is None and any(_parse_cell(c) is None for c in rows[0]):
-        names = [c.strip() for c in rows.pop(0)]
-        del lines[0]
-    if not rows:
+        rows = _rows(fh, delimiter)
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: file is empty")
+        width = len(first[1])
+        step = max(1, _BLOCK_CELLS // width)
+        if header is True or header is None and any(_parse_cell(c) is None for c in first[1]):
+            names = [c.strip() for c in first[1]]
+        else:
+            rows = itertools.chain([first], rows)
+        for line, row in rows:
+            if len(row) != width:
+                raise ParseError(f"{path}: expected {width} fields, found {len(row)}", row=line)
+            seen += 1
+            if offender is not None:
+                continue
+            if n == len(blocks) * step:
+                blocks.append(np.empty((step, width)))
+            v = blocks[-1][n % step]
+            try:
+                v[:] = row  # numpy reads each cell as float() does
+                j = width
+            except ValueError:
+                values = [_parse_cell(c) for c in row]
+                j = values.index(None) if None in values else width
+                v[:j] = values[:j]
+            if j == width and np.isfinite(v).all():
+                n += 1
+            else:
+                # a row with a missing value but no offender is dropped
+                offender = _offender(path, line, row, v, j, drop)
+    if not seen:
         raise ParseError(f"{path}: no data rows")
-    data = np.empty((len(rows), width))
-    bad = None
-    for i, r in enumerate(rows):
-        try:
-            data[i] = r  # numpy reads each cell as float() does
-        except ValueError:
-            values = [_parse_cell(c) for c in r]
-            if None in values:
-                # keep what precedes the non-number for the missing-value check
-                j = values.index(None)
-                data[i] = values[:j] + [0.0] * (width - j)
-                data = data[:i + 1]
-                bad = ParseError(f"{path}: not a number: {r[j].strip()!r}",
-                                 row=lines[i], col=j + 1)
-                break
-            data[i] = values
-    missing = np.isnan(data)
-    if na_policy == "reject" and missing.any():
-        i, j = divmod(int(missing.argmax()), width)
-        raise MissingValue(f"{path}: missing value", row=lines[i], col=j + 1)
-    if bad is not None:
-        raise bad
-    keep = ~missing.any(axis=1)
-    if not keep.any():
+    if offender is not None:
+        raise offender
+    if not n:
         raise ParseError(f"{path}: every row has missing values")
-    try:
-        return DataMatrix(data if keep.all() else data[keep], names=names, copy=False)
-    except DomainError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    data = np.empty((n, width), order="F")
+    for b in range(len(blocks)):
+        # free each block once it is copied
+        block, blocks[b] = blocks[b], None
+        data[b * step:(b + 1) * step] = block[:n - b * step]
+    return DataMatrix(data, names=names, copy=False)
 
 
 def resolve_column(m, which):

@@ -285,10 +285,11 @@ class _Fit:
         The problems of all jobs are grouped by their shape, R's rows (at least
         s + 1) by s + 1.  A group stacks its jobs' R^T (with c as one more
         row), rss0 and column norms, zero-padded to the group's rows and to
-        its widest job, and lists its problems flat, one job's idx after
-        another.  The list is factored by one batched QR per ``_BATCH``
+        its widest job, and numbers its problems flat, one job's idx after
+        another.  They are factored by one batched QR per ``_BATCH``
         problems, each problem gathered from the stack at its owner, the job
-        whose rows it falls in.  The zero rows square the problems of an R
+        whose rows it falls in; a batch takes its problems' columns from the
+        owners' own idx, so no list of every problem is made.  The zero rows square the problems of an R
         with fewer rows, and a narrower job's padded columns are never read;
         the batched QR factors each matrix on its own, so every number is the
         same bits whatever shares its batch.
@@ -310,14 +311,21 @@ class _Fit:
                 rc[t, w, :fit.p] = fit.c
                 norm2[t, :len(fit.rt)] = fit.norm2
             rss0 = np.array([fit.rss0 for fit in fits])
-            idx = _cat([jobs[j][1] for j in members])
-            ends = np.fromiter(itertools.accumulate(len(jobs[j][1]) for j in members), np.intp)
-            rss, valid = np.empty(len(idx)), np.empty(len(idx), dtype=bool)
-            fs = np.empty((len(idx), cols, cols)) if factors else None
-            for lo in range(0, len(idx), _BATCH):
-                b = slice(lo, lo + _BATCH)
-                g = idx[b]
-                o = ends.searchsorted(np.arange(lo, lo + len(g)), side="right")[:, None]
+            idxs = [jobs[j][1] for j in members]
+            sizes = np.fromiter(map(len, idxs), np.intp, len(idxs))
+            ends = np.cumsum(sizes)
+            starts = ends - sizes
+            total = int(ends[-1])
+            rss, valid = np.empty(total), np.empty(total, dtype=bool)
+            fs = np.empty((total, cols, cols)) if factors else None
+            for lo in range(0, total, _BATCH):
+                hi = min(lo + _BATCH, total)
+                b = slice(lo, hi)
+                # each problem's owner, and the batch's problems gathered from
+                # the owners' own idx, never the whole list at once
+                o = ends.searchsorted(np.arange(lo, hi), side="right")[:, None]
+                g = _cat([idxs[t][max(lo - starts[t], 0):hi - starts[t]]
+                          for t in range(o[0, 0], o[-1, 0] + 1)])
                 # [R[:, S] | c] of each problem, gathered transposed
                 at = rc[o, np.concatenate((g, np.full((len(g), 1), w)), axis=1)]
                 h, _ = np.linalg.qr(at.swapaxes(1, 2), mode="raw")
@@ -327,7 +335,7 @@ class _Fit:
                 valid[b] = (d[:, :s] > COLLINEARITY_TOL * norm2[o, g]).all(axis=1)
                 if factors:
                     fs[b] = f
-            for j, lo, hi in zip(members, [0, *ends[:-1]], ends):
+            for j, lo, hi in zip(members, starts, ends):
                 out[j] = rss[lo:hi], valid[lo:hi], None if fs is None else fs[lo:hi]
         return out
 

@@ -1,5 +1,10 @@
 """Tests for CSV loading and the feature dictionary builders."""
 
+import csv
+import math
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -28,6 +33,146 @@ def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text)
     return str(p)
+
+
+_ORACLE_NA = {"", "na", "n/a", "null"}
+
+
+def _oracle_cell(text):
+    s = text.strip()
+    if s.lower() in _ORACLE_NA:
+        return math.nan
+    try:
+        return float(s)
+    except ValueError:
+        return None
+
+
+def oracle_load_csv(path, header=None, delimiter=",", na_policy="reject"):
+    """The list-of-rows loader: every row is read as text before any is converted.
+
+    It holds the whole file's cells as strings, so it is kept here only as
+    the reference that the streaming ``load_csv`` must agree with on every
+    file without infinite cells.
+    """
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh, delimiter=delimiter)
+        rows, lines, line = [], [], 1
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(line)
+            line = reader.line_num + 1
+    if not rows:
+        raise ParseError(f"{path}: file is empty")
+    width = len(rows[0])
+    for r, line in zip(rows, lines):
+        if len(r) != width:
+            raise ParseError(f"{path}: expected {width} fields, found {len(r)}", row=line)
+    names = None
+    if header is True or header is None and any(_oracle_cell(c) is None for c in rows[0]):
+        names = [c.strip() for c in rows.pop(0)]
+        del lines[0]
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    data = np.empty((len(rows), width))
+    bad = None
+    for i, r in enumerate(rows):
+        try:
+            data[i] = r
+        except ValueError:
+            values = [_oracle_cell(c) for c in r]
+            if None in values:
+                j = values.index(None)
+                data[i] = values[:j] + [0.0] * (width - j)
+                data = data[:i + 1]
+                bad = ParseError(f"{path}: not a number: {r[j].strip()!r}",
+                                 row=lines[i], col=j + 1)
+                break
+            data[i] = values
+    missing = np.isnan(data)
+    if na_policy == "reject" and missing.any():
+        i, j = divmod(int(missing.argmax()), width)
+        raise MissingValue(f"{path}: missing value", row=lines[i], col=j + 1)
+    if bad is not None:
+        raise bad
+    keep = ~missing.any(axis=1)
+    if not keep.any():
+        raise ParseError(f"{path}: every row has missing values")
+    return DataMatrix(data if keep.all() else data[keep], names=names, copy=False)
+
+
+# cells as csv.reader yields them; the numbers are the odd-but-valid cells of
+# test_cells_read_as_float_reads_them and plain ones, none of them infinite
+CORPUS_NUMBERS = ["0", "1", "-2.5", "6.02e23", "2.5e-300", " 2 ", "\xa01", "1_000", "+3",
+                  ".5", "1E5", "-0", "4.9e-324", "\u0661.\u0665", "\x1c1", "\n8"]
+CORPUS_NA = ["", " ", "\t", "NA", "na", "N/A", "n/a", "NULL", "null", "nan", "NaN",
+             " NAN ", "+nan", "-NaN"]
+CORPUS_BAD = ["x", "oops", "1.2.3", "0x10", "1e", "a\nb", "1,5", "--1"]
+CORPUS_NAMES = ["y", "a", "b c", "x,1", "7"]
+
+
+def corpus_file(rng, delimiter):
+    """A small CSV as text, and tags for what it holds.
+
+    The tags name the odd structure in the file (a BOM, blank lines, CRLF
+    line ends, quoted and multi-line cells) and the order of its offenders:
+    "ragged<bad" says a ragged row comes before the first non-number, "na<bad"
+    a missing value, and "bad<ragged" and "bad<na" the other way round.
+    """
+    width = rng.randint(1, 4)
+    tags, kinds = set(), []
+
+    def encode(cell):
+        if any(ch in cell for ch in (delimiter, '"', "\n", "\r")) or rng.random() < 0.1:
+            tags.add("multiline" if "\n" in cell else "quoted")
+            return '"' + cell.replace('"', '""') + '"'
+        return cell
+
+    lines = []
+    if rng.random() < 0.6:
+        pool = CORPUS_NAMES if rng.random() < 0.7 else CORPUS_NUMBERS
+        lines.append([rng.choice(pool) for _ in range(width)])
+    for _ in range(rng.choice([0, 1, 2, 3, 5, 8])):
+        if rng.random() < 0.1:
+            lines.append(None)
+            tags.add("blank")
+            continue
+        w = width if rng.random() > 0.08 else max(1, width + rng.choice([-1, 1]))
+        if w != width:
+            kinds.append("ragged")
+        row = []
+        for _ in range(w):
+            u = rng.random()
+            pool, kind = ((CORPUS_NA, "na") if u < 0.07 else (CORPUS_BAD, "bad") if u < 0.11
+                          else (CORPUS_NUMBERS, None))
+            if kind:
+                kinds.append(kind)
+            row.append(rng.choice(pool))
+        lines.append(row)
+    if "bad" in kinds:
+        first = kinds.index("bad")
+        tags.update(f"{kind}<bad" for kind in kinds[:first])
+        tags.update(f"bad<{kind}" for kind in kinds[first + 1:] if kind != "bad")
+    eol = "\r\n" if rng.random() < 0.2 else "\n"
+    if eol != "\n":
+        tags.add("crlf")
+    text = eol.join("" if r is None else delimiter.join(map(encode, r)) for r in lines)
+    if lines and rng.random() < 0.8:
+        text += eol
+    if rng.random() < 0.15:
+        text = "\ufeff" + text
+        tags.add("bom")
+    return text, tags
+
+
+def outcome(load, path, **kw):
+    """What a loader gives: (names, value bytes) or (error type, message, row, col)."""
+    try:
+        m = load(path, **kw)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.row, exc.col
+    return m.names, m.values.shape, m.values.tobytes(), m.values.flags.f_contiguous
 
 
 class TestLoadCsv:
@@ -192,6 +337,92 @@ class TestLoadCsv:
         with pytest.raises(ParseError) as exc:
             load_csv(p)
         assert (exc.value.row, exc.value.col) == (4, 2)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "+Inf", " INF ", "infinity",
+                                      "-Infinity", "1e400", "-1e400", "1E+999"])
+    def test_infinite_cell_reported_with_coordinates_under_both_policies(self, tmp_path, cell):
+        p = write(tmp_path, f"a,b\n1,2\n3,{cell}\n5,6")
+        for policy in ("reject", "drop"):
+            with pytest.raises(ParseError) as exc:
+                load_csv(p, na_policy=policy)
+            assert type(exc.value) is ParseError
+            assert (exc.value.row, exc.value.col) == (3, 2)
+            assert f"not a finite number: {cell.strip()!r} (row 3, column 2)" in str(exc.value)
+
+    @pytest.mark.parametrize("text, reject, drop", [
+        # an infinite value offends in row-major order, as a non-number does
+        ("a,b\n1,inf\n2,x\n", (ParseError, 2, 2), (ParseError, 2, 2)),
+        ("a,b\n1,x\n2,inf\n", (ParseError, 2, 2), (ParseError, 2, 2)),
+        ("a,b\n1,2\ninf,x\n", (ParseError, 3, 1), (ParseError, 3, 1)),
+        # a missing value offends only under 'reject'; its row is no excuse
+        ("a,b\nNA,inf\n", (MissingValue, 2, 1), (ParseError, 2, 2)),
+        ("a,b\ninf,NA\n", (ParseError, 2, 1), (ParseError, 2, 1)),
+        ("a,b\n1,NA\n2,1e400\n", (MissingValue, 2, 2), (ParseError, 3, 2)),
+        # a ragged row anywhere comes first
+        ("a,b\n1,inf\n3\n", (ParseError, 3, None), (ParseError, 3, None)),
+        # a first row that reads as numbers, infinite or not, is data
+        ("inf,1\n2,3\n", (ParseError, 1, 1), (ParseError, 1, 1)),
+    ])
+    def test_infinite_cells_in_row_major_order(self, tmp_path, text, reject, drop):
+        p = write(tmp_path, text)
+        for policy, want in (("reject", reject), ("drop", drop)):
+            with pytest.raises(ParseError) as exc:
+                load_csv(p, na_policy=policy)
+            assert (type(exc.value), exc.value.row, exc.value.col) == want, policy
+
+    def test_infinite_header_cells_are_names(self, tmp_path):
+        m = load_csv(write(tmp_path, "inf,1e400\n2,3\n"), header=True)
+        assert m.names == ["inf", "1e400"] and m.values.tolist() == [[2.0, 3.0]]
+
+    def test_memory_is_within_three_matrices(self, tmp_path):
+        # the list-of-rows loader held every cell as a str, about 11.7 times
+        # the matrix's bytes on this file
+        x = np.random.default_rng(8).standard_normal((500, 1000))
+        p = write(tmp_path, "".join(",".join(map(repr, row)) + "\n" for row in x.tolist()))
+        tracemalloc.start()
+        try:
+            m = load_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(m.values, x) and m.values.flags.f_contiguous
+        assert peak <= 3 * x.nbytes, peak / x.nbytes
+
+
+class TestLoadCsvCorpus:
+    def test_streaming_loader_agrees_with_the_list_of_rows_loader(self, tmp_path):
+        rng = random.Random(17)
+        p = str(tmp_path / "corpus.csv")
+        tags, results = {}, {}
+        for f in range(2400):
+            delimiter = ";" if f % 4 == 3 else ","
+            text, file_tags = corpus_file(rng, delimiter)
+            with open(p, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            for header in (None, True, False):
+                for policy in ("reject", "drop"):
+                    kw = dict(header=header, delimiter=delimiter, na_policy=policy)
+                    want = outcome(oracle_load_csv, p, **kw)
+                    assert outcome(load_csv, p, **kw) == want, (text, kw)
+                    kind = want[0].__name__ if isinstance(want[0], type) else "loaded"
+                    if kind == "ParseError":
+                        kind = want[1][len(p) + 2:].split(":")[0].split(" (")[0]
+                    results[kind, policy] = results.get((kind, policy), 0) + 1
+            for tag in file_tags | {f"delimiter {delimiter}"}:
+                tags[tag] = tags.get(tag, 0) + 1
+        # the corpus holds every structure and every outcome, many times over
+        assert set(tags) == {"ragged<bad", "bad<ragged", "na<bad", "bad<na", "blank", "bom",
+                             "crlf", "quoted", "multiline", "delimiter ,", "delimiter ;"}
+        assert min(tags.values()) >= 40, tags
+        kinds = {"loaded", "MissingValue", "not a number", "no data rows", "file is empty",
+                 "every row has missing values"}
+        assert {k for k, _ in results} == kinds | {
+            k for k, _ in results if k.startswith("expected")}, results
+        assert sum(n for (k, _), n in results.items() if k.startswith("expected")) >= 100
+        for kind in kinds - {"MissingValue", "every row has missing values"}:
+            assert min(results.get((kind, policy), 0) for policy in ("reject", "drop")) >= 10, kind
+        assert results["MissingValue", "reject"] >= 100
+        assert results["every row has missing values", "drop"] >= 10
 
 
 class TestSplitResponse:

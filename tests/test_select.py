@@ -700,6 +700,29 @@ class TestBatchRefinement:
             monkeypatch.setattr(select, "_BATCH", batch)
             assert run() == want, batch
 
+    def test_memory_is_the_results_and_one_batch(self, monkeypatch):
+        # 100 jobs sharing one fit and one table of its 924 size-6 subsets, as
+        # the subset search's jobs share them: beyond the rss and validity it
+        # returns, the call holds about one batch of problems, not a copy of
+        # every job's idx (5.2 MB here)
+        m = DataMatrix(np.random.default_rng(3).standard_normal((60, 30)))
+        fit = f1st(m, m.col(0), SelectionConfig(kmn=12), exclude=(0,), _stepwise=True)
+        assert len(fit.cols) == 12
+        idx = select._size_tables(12, 6, fit.off)[0]
+        jobs = [(fit, idx)] * 100
+        monkeypatch.setattr(select, "_BATCH", 64)
+        tracemalloc.start()
+        try:
+            got = select._Fit.rss(jobs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = select._Fit.rss(jobs[:1])[0]
+        assert all(np.array_equal(r, want[0]) and np.array_equal(v, want[1]) for r, v, _ in got)
+        problems = len(jobs) * len(idx)
+        listed = problems * idx.itemsize * idx.shape[1]
+        assert peak - problems * 9 < listed / 4, (peak, listed)
+
 
 def searched_best(fits, p0, bounded=True):
     """Each fit's least (rss, size, positions) among the subsets the search yields."""
