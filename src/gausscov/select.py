@@ -288,11 +288,12 @@ class _Fit:
         its widest job, and numbers its problems flat, one job's idx after
         another.  They are factored by one batched QR per ``_BATCH``
         problems, each problem gathered from the stack at its owner, the job
-        whose rows it falls in; a batch takes its problems' columns from the
-        owners' own idx, so no list of every problem is made.  The zero rows square the problems of an R
-        with fewer rows, and a narrower job's padded columns are never read;
-        the batched QR factors each matrix on its own, so every number is the
-        same bits whatever shares its batch.
+        whose rows it falls in.  A batch slices its problems' columns from
+        its owners' own idx, so no list of all the group's problems is made.
+        The zero rows square the problems of an R with fewer rows, and a
+        narrower job's padded columns are never read; the batched QR factors
+        each matrix on its own, so every number is the same bits whatever
+        shares its batch.
         """
         groups = {}
         for j, (fit, idx) in enumerate(jobs):
@@ -312,18 +313,15 @@ class _Fit:
                 norm2[t, :len(fit.rt)] = fit.norm2
             rss0 = np.array([fit.rss0 for fit in fits])
             idxs = [jobs[j][1] for j in members]
-            sizes = np.fromiter(map(len, idxs), np.intp, len(idxs))
-            ends = np.cumsum(sizes)
-            starts = ends - sizes
-            total = int(ends[-1])
+            ends = list(itertools.accumulate(map(len, idxs)))
+            starts, total = [0, *ends[:-1]], ends[-1]
+            owners = np.array(ends)
             rss, valid = np.empty(total), np.empty(total, dtype=bool)
             fs = np.empty((total, cols, cols)) if factors else None
             for lo in range(0, total, _BATCH):
                 hi = min(lo + _BATCH, total)
                 b = slice(lo, hi)
-                # each problem's owner, and the batch's problems gathered from
-                # the owners' own idx, never the whole list at once
-                o = ends.searchsorted(np.arange(lo, hi), side="right")[:, None]
+                o = owners.searchsorted(np.arange(lo, hi), side="right")[:, None]
                 g = _cat([idxs[t][max(lo - starts[t], 0):hi - starts[t]]
                           for t in range(o[0, 0], o[-1, 0] + 1)])
                 # [R[:, S] | c] of each problem, gathered transposed
