@@ -703,8 +703,8 @@ class TestBatchRefinement:
     def test_memory_is_the_results_and_one_batch(self, monkeypatch):
         # 100 jobs sharing one fit and one table of its 924 size-6 subsets, as
         # the subset search's jobs share them: beyond the rss and validity it
-        # returns, the call holds about one batch of problems, not a copy of
-        # every job's idx (5.2 MB here)
+        # returns, the call holds the stacked factors and a few batches of
+        # problems, not a copy of every job's idx (5.2 MB here)
         m = DataMatrix(np.random.default_rng(3).standard_normal((60, 30)))
         fit = f1st(m, m.col(0), SelectionConfig(kmn=12), exclude=(0,), _stepwise=True)
         assert len(fit.cols) == 12
