@@ -12,14 +12,23 @@ reported fit is read from R and c without revisiting the n rows.
 A fit that scans for candidates keeps two vectors of length q: X^T r, the
 products of every column with the current residual, and each column's
 squared norm orthogonal to the basis.  The first scan fills both with one
-matrix product X^T [r | basis]; after the intercept, the norms are the
-columns' sums of squares about their means.  After that each selection step
-reads the matrix once: a column entering the basis as unit vector u, with
-residual coefficient c, costs one product X^T u, which updates X^T r to
-X^T r - c X^T u and the norms to norms - (X^T u)^2.  Scans choose from the
-kept vectors in O(q), and take the rss after the chosen column from its
-component orthogonal to the basis on the n rows, which the extension that
-follows reuses.
+matrix product of X with the residual and the basis vectors; after the
+intercept, the norms are the columns' sums of squares about their means, and
+the intercept's products are the column means times sqrt(n), both kept by
+the matrix, so a fit that has only the intercept reads X once for X^T r.
+After that each selection step reads the matrix at most once: a column
+entering the basis as unit vector u, with residual coefficient c, costs one
+product X^T u, which updates X^T r to X^T r - c X^T u and the norms to
+norms - (X^T u)^2.  ``extend_together`` extends many fits of one matrix at
+once, and takes the X^T u of all of them from one product U X, U stacking
+their new unit vectors.  Scans choose from the kept vectors in O(q), and
+take the rss after the chosen column from its component orthogonal to the
+basis on the n rows, which the extension that follows reuses.
+
+The products only rank candidates.  A batched product may round X^T u in
+the last bits differently from a single one, which can change a scan's
+choice only between scores tied to about 1e-14; every rss, R column and c
+comes from the n rows.
 
 A fit seeded by ``seed_from_gram`` (the regression of one column of X on the
 others, given the q x q Gram matrix G of X) reads the matrix never: X^T r and
@@ -27,9 +36,10 @@ the norms start as a column and the diagonal of G, and each extension takes
 X^T u from G and the kept products X^T b of the earlier basis vectors in
 O(qk).  The n-row basis and residual are built the same way in both modes.
 
-``extend`` and ``extend_intercept`` are the only ways a fit grows.  A fit's
-arrays are replaced, never written in place, so ``fork`` copies a state in
-O(k) by sharing them, and a saved fork stays exactly the fit it was.
+``extend_together``, ``extend`` (which extends one fit) and
+``extend_intercept`` are the only ways a fit grows.  A fit's arrays are
+replaced, never written in place, so ``fork`` copies a state in O(k) by
+sharing them, and a saved fork stays exactly the fit it was.
 """
 
 import copy
@@ -50,6 +60,7 @@ __all__ = [
     "ResidualState",
     "extend",
     "extend_intercept",
+    "extend_together",
     "gram",
     "scan_best",
     "seed_from_gram",
@@ -75,7 +86,8 @@ class DataMatrix:
     be reported on the original scale.
     """
 
-    __slots__ = ("values", "n", "q", "names", "offsets", "scales", "_norm2", "_centred_norm2")
+    __slots__ = ("values", "n", "q", "names", "offsets", "scales", "_norm2", "_means",
+                 "_centred_norm2")
 
     def __init__(self, values, names=None, offsets=None, scales=None, copy=True):
         arr = np.asarray(values, dtype=np.float64)
@@ -102,7 +114,7 @@ class DataMatrix:
         if self.offsets.shape != (self.q,) or self.scales.shape != (self.q,):
             raise DomainError("offsets/scales must have one entry per column")
         self._norm2 = None
-        self._centred_norm2 = None
+        self._means = self._centred_norm2 = None
 
     def col_norm2(self):
         """Squared norm of every column, computed on first use (read-only)."""
@@ -112,18 +124,29 @@ class DataMatrix:
             self._norm2 = norm2
         return self._norm2
 
+    def col_means(self):
+        """Mean of every column, computed with ``centred_norm2`` on first use (read-only)."""
+        if self._means is None:
+            self._centre()
+        return self._means
+
     def centred_norm2(self):
         """Sum of squares of every column about its mean, computed on first use (read-only)."""
         if self._centred_norm2 is None:
-            css = np.empty(self.q)
-            step = max(1, _BLOCK_CELLS // self.n)
-            for lo in range(0, self.q, step):
-                block = self.values[:, lo:lo + step]
-                block = block - block.mean(axis=0)
-                css[lo:lo + step] = np.einsum("ij,ij->j", block, block)
-            css.flags.writeable = False
-            self._centred_norm2 = css
+            self._centre()
         return self._centred_norm2
+
+    def _centre(self):
+        # one pass over the columns, a block at a time, for both statistics
+        means, css = np.empty(self.q), np.empty(self.q)
+        step = max(1, _BLOCK_CELLS // self.n)
+        for lo in range(0, self.q, step):
+            block = self.values[:, lo:lo + step]
+            means[lo:lo + step] = mean = block.mean(axis=0)
+            block = block - mean
+            css[lo:lo + step] = np.einsum("ij,ij->j", block, block)
+        means.flags.writeable = css.flags.writeable = False
+        self._means, self._centred_norm2 = means, css
 
     def col(self, j):
         """Read-only view of column j."""
@@ -181,9 +204,10 @@ class ResidualState:
     Once ``scan_best`` has run, or ``seed_from_gram`` has, the state also keeps
     X^T r and the columns' squared norms orthogonal to the basis, for the
     matrix it scanned; each later extension updates both from X^T u, which it
-    takes from one product with X, or in Gram mode from the Gram matrix and the
-    kept X^T b of every basis vector b after the intercept.  A scan also keeps
-    the extension by the column it chose, which ``extend`` then reuses.
+    takes from a product with X (shared by the states ``extend_together``
+    extends), or in Gram mode from the Gram matrix and the kept X^T b of every
+    basis vector b after the intercept.  A scan also keeps the extension by the
+    column it chose, which ``extend`` then reuses.
 
     Arrays are replaced, never written in place, so a ``fork`` shares them with
     the state it came from, and extending either leaves the other unchanged.
@@ -272,17 +296,31 @@ def _record_in_span(state, v):
     state._r += (_orthogonal_component(state.basis, v)[1],)
 
 
-def _extend_vector(state, step, j=None):
-    u, rcol, c, state.residual, state.rss = step
-    state._next = None
-    state.basis.append(u)
-    state._r += (rcol,)
-    state._c += (c,)
-    if state._cache_for is None:
-        return
-    if state._gram is None:
-        xtu = state._cache_for.values.T @ u
-    else:
+def _products(m, vectors):
+    """X^T v of every row v of ``vectors``, as the rows of one product with X: one pass over X."""
+    return vectors @ m.values
+
+
+def _downdate(state, xtu):
+    # the kept X^T r and norms after the last basis vector u entered, given X^T u
+    state._xtr = state._xtr - state._c[-1] * xtu
+    state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
+
+
+def _extend_vectors(states, steps, cols):
+    """Grow each state by its step (an extension by column ``cols[b]``, or None for 1)."""
+    data = {}
+    for state, step, j in zip(states, steps, cols):
+        u, rcol, c, state.residual, state.rss = step
+        state._next = None
+        state.basis.append(u)
+        state._r += (rcol,)
+        state._c += (c,)
+        if state._cache_for is None:
+            continue
+        if state._gram is None:
+            data.setdefault(state._cache_for, []).append(state)
+            continue
         # the new vector is column j, whose coefficient on each kept basis
         # vector b is (X^T b)[j], so X^T (|u| u) = G[j] - sum_b (X^T b)[j] X^T b,
         # |u| being the last entry of its column of R
@@ -291,15 +329,19 @@ def _extend_vector(state, step, j=None):
             xtu -= xtb[j] * xtb
         xtu /= rcol[-1]
         state._xtb.append(xtu)
-    state._xtr = state._xtr - c * xtu
-    state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
+        _downdate(state, xtu)
+    # one product with each scanned matrix for all the states that keep it;
+    # for a single state it is the same bits as X^T u
+    for m, group in data.items():
+        for state, xtu in zip(group, _products(m, np.array([s.basis[-1] for s in group]))):
+            _downdate(state, xtu)
 
 
 def extend_intercept(state):
     """Add the constant column to the fit (done first, before any covariate)."""
     if state.fit_size:
         raise DomainError("intercept must be the first fitted vector")
-    _extend_vector(state, _step(state, np.ones(state.n)))
+    _extend_vectors([state], [_step(state, np.ones(state.n))], [None])
     return state
 
 
@@ -310,19 +352,39 @@ def extend(state, m, j):
     Raises CollinearColumn when the column's component orthogonal to the
     current basis falls at or below ``COLLINEARITY_TOL`` times its squared norm.
     """
-    j = int(j)
-    if not 0 <= j < m.q:
-        raise DomainError(f"column index {j} out of range for q={m.q}")
-    if m.n != state.n:
-        raise DomainError("matrix row count does not match the state")
-    if j in state.selected:
-        raise DomainError(f"column {j} is already selected")
-    nxt = state._next
-    if nxt is None or nxt[0] is not m or nxt[1] != j:
-        nxt = (m, j, _step(state, m.col(j), f"column {j}"))
-    _extend_vector(state, nxt[2], j)
-    state.selected.append(j)
+    extend_together([state], m, [j])
     return state
+
+
+def extend_together(states, m, cols):
+    """Add column ``cols[b]`` of ``m`` to each of the distinct ``states[b]``.
+
+    Each state gets the extension ``extend`` would give it alone: the same
+    residual, rss, basis vector, R column and c, all computed on the n rows.
+    The states that keep X^T r for a matrix in data mode then update it from
+    one product U X for all of them, U stacking their new unit vectors, where
+    ``extend`` alone makes one X^T u each.  The batched product can round in
+    the last bits differently, so the kept X^T r and norms agree with a
+    single extension's to rounding; they only rank the candidates of later
+    scans.  Every extension is checked, and every state's step computed,
+    before any state changes, so an error leaves all of them as they were.
+    """
+    cols = [int(j) for j in cols]
+    steps = []
+    for state, j in zip(states, cols):
+        if not 0 <= j < m.q:
+            raise DomainError(f"column index {j} out of range for q={m.q}")
+        if m.n != state.n:
+            raise DomainError("matrix row count does not match the state")
+        if j in state.selected:
+            raise DomainError(f"column {j} is already selected")
+        nxt = state._next
+        if nxt is None or nxt[0] is not m or nxt[1] != j:
+            nxt = (m, j, _step(state, m.col(j), f"column {j}"))
+        steps.append(nxt[2])
+    _extend_vectors(states, steps, cols)
+    for state, j in zip(states, cols):
+        state.selected.append(j)
 
 
 def gram(m, centred):
@@ -356,26 +418,29 @@ def seed_from_gram(state, m, g, j):
 def _ensure_scan_cache(state, m):
     if state._cache_for is m:
         return
+    centred = state.fit_size > len(state.selected)
     # one pass over X for X^T r and the products with every basis vector
-    prod = m.values.T @ np.column_stack([state.residual] + state.basis)
-    xtr = prod[:, 0]
-    if state.fit_size > len(state.selected):
+    # after the intercept
+    prod = _products(m, np.array([state.residual] + state.basis[int(centred):]))
+    if centred:
         # after the intercept: the norms about the column means, not
         # col_norm2 - (X^T 1)^2 / n, which cancels when the means are large;
-        # and X^T r without r's rounding component along 1, which large means
-        # would amplify
-        xtr = xtr - float(state.basis[0] @ state.residual) * prod[:, 1]
+        # and X^T r without r's rounding component along the intercept's unit
+        # vector 1/sqrt(n), whose products with X are sqrt(n) times the
+        # means, as large means would amplify it
+        coef = float(state.basis[0] @ state.residual) * math.sqrt(m.n)
+        xtr = prod[0] - coef * m.col_means()
         resid = np.array(m.centred_norm2())
-        first = 2
     else:
+        # a copy, so that the other rows of the product are not kept
+        xtr = prod[0].copy()
         resid = np.array(m.col_norm2())
-        first = 1
-    for i in range(first, prod.shape[1]):
-        resid -= prod[:, i] * prod[:, i]
+    for row in prod[1:]:
+        resid -= row * row
     np.maximum(resid, 0.0, out=resid)
     state._cache_for = m
     state._gram = None
-    state._xtr = np.ascontiguousarray(xtr)
+    state._xtr = xtr
     state._resid_norm2 = resid
 
 

@@ -27,7 +27,7 @@ from scipy.linalg import solve_triangular
 from . import pvalues
 from .errors import CollinearColumn, DomainError, NoCandidates, TooManyColumns
 from .matrix import (COLLINEARITY_TOL, ResidualState, _record_in_span, extend,
-                     extend_intercept, scan_best, seed_from_gram)
+                     extend_intercept, extend_together, scan_best, seed_from_gram)
 
 __all__ = [
     "ApproximationSet",
@@ -62,6 +62,11 @@ _CACHED_ROWS = 4096
 # The subset search holds two tables of 2^k cells per fit of k covariates; it
 # searches fits together only while their tables hold at most this many cells.
 _SEARCH_CELLS = 1 << 22
+
+# Each stepwise run advanced in lockstep keeps X^T r and the residual column
+# norms, and its row of the round's product with X: 3q cells.  Runs advance
+# together only while their vectors hold at most this many cells.
+_LOCKSTEP_CELLS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -584,6 +589,93 @@ def _refine(m, fits, cfg):
 # f1st: stepwise selection + all-subset refinement
 # ---------------------------------------------------------------------------
 
+class _Run:
+    """One stepwise pass on a matrix, as ``_advance`` moves it a step a round.
+
+    ``steps``, when given and not empty, holds the states of the run this one
+    resumes from: ``steps[t]`` is the state after its step t, and this run
+    starts from a fork of ``steps[0]``.  Those steps are retaken unscanned,
+    their rss the one extend took from the scan, and only their P-values are
+    recomputed for this run's pool.  With ``record``, every state this run
+    extends to is appended to ``steps``, after the start state when ``steps``
+    is empty, for the runs that will resume from it.
+    """
+
+    __slots__ = ("state", "excl", "q_pool", "steps", "retake", "record", "floor", "trace")
+
+    def __init__(self, m, state, excl, steps=None, record=True):
+        self.state = state
+        self.excl = np.zeros(m.q, dtype=bool)
+        self.excl[list(excl)] = True
+        self.q_pool = m.q - len(excl)
+        self.steps = steps
+        self.retake = len(steps) - 1 if steps else 0
+        self.record = steps is not None and record
+        self.floor = state.rss * _PERFECT_FIT_REL
+        self.trace = []
+
+
+def _advance(m, cfg, runs):
+    """The ``_Fit`` of each stepwise run in the iterable ``runs``, all advanced on ``m``.
+
+    Runs are taken in groups, as many as keep their vectors within
+    ``_LOCKSTEP_CELLS``, and each group is advanced in lockstep until every
+    run in it stops.  In each round, every live run takes its next step as
+    ``f1st`` describes: it stops at a break, or it retakes its next step, or
+    it scans for the best candidate (``scan_best``), and it stops unless that
+    candidate passes or is forced.  The runs that take a new column are then
+    extended together (``extend_together``): each gets its own extension on
+    the n rows, and those in data mode share one product with X for their
+    X^T u.  The products only rank the candidates of later scans; every rss
+    a run reports, and the R and c its fit keeps, come from the n rows.
+    """
+    runs = iter(runs)
+    size = max(1, _LOCKSTEP_CELLS // (3 * m.q))
+    fits = []
+    while group := list(itertools.islice(runs, size)):
+        live = group
+        while live:
+            going, grow, cols = [], [], []
+            for run in live:
+                state = run.state
+                k_sel = len(state.selected)
+                fit_new = state.fit_size + 1
+                if k_sel >= run.q_pool or m.n - fit_new < 2 or state.rss <= run.floor:
+                    continue
+                if k_sel < run.retake:
+                    after = run.steps[k_sel + 1]
+                    j, rss_cand = after.selected[-1], after.rss
+                else:
+                    try:
+                        j, rss_cand = scan_best(state, m, run.excl)
+                    except NoCandidates:
+                        continue
+                ctx = pvalues.PvalueContext(m.n, fit_new, run.q_pool - k_sel)
+                p_f = pvalues.pf_from_rss_ratio(ctx, rss_cand, state.rss)
+                p_g = pvalues.pg_stepwise(ctx, p_f)
+                if k_sel >= cfg.kmn and p_g >= cfg.p0:
+                    continue
+                if k_sel < run.retake:
+                    run.state = after.fork()
+                else:
+                    if run.record and not run.steps:
+                        # the start of every run that resumes from this one
+                        run.steps.append(state.fork())
+                    grow.append(run)
+                    cols.append(j)
+                # the rss after a new column is the one its scan took, which
+                # the extension keeps
+                run.trace.append(TraceStep(j, p_f, p_g, rss_cand, forced=p_g >= cfg.p0))
+                going.append(run)
+            extend_together([run.state for run in grow], m, cols)
+            for run in grow:
+                if run.record:
+                    run.steps.append(run.state.fork())
+            live = going
+        fits += [_Fit(run.state, run.state.selected, run.q_pool, run.trace) for run in group]
+    return fits
+
+
 def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False):
     """Stepwise Gaussian-covariate selection.
 
@@ -602,9 +694,10 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
     with the ``_Fit`` of its selected set, which keeps its trace and
     competitor pool but not its n-row state; the refinement takes a list of
     such fits and solves all their subset fits together (``_refine``).
-    ``f1st`` refines a list of one.  Callers with many responses, such as
-    ``fgr1st``, pass ``_stepwise=True`` to get the fit instead and refine
-    every fit in one call.
+    ``f1st`` runs the stepwise kernel ``_advance`` on one run and refines a
+    list of one.  Callers with many responses, such as ``fgr1st``, pass
+    ``_stepwise=True`` to get the fit instead and refine every fit in one
+    call.
 
     Parameters
     ----------
@@ -627,56 +720,15 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
         cfg = SelectionConfig()
     y = _check_inputs(m, y)
     excl = _valid_exclusions(m, exclude)
-    q_pool = m.q - len(excl)
-    excl_mask = np.zeros(m.q, dtype=bool)
-    excl_mask[list(excl)] = True
     if _steps:
+        # the states of the run this one resumes from (_Run)
         state = _steps[0].fork()
     else:
         state = extend_intercept(ResidualState(y)) if cfg.intercept else ResidualState(y)
         if _gram is not None:
             # (G, j): y is column j of m, G = gram(m, centred=cfg.intercept)
             seed_from_gram(state, m, *_gram)
-    # _steps[t] is the state after step t of the run this one resumes from;
-    # those steps are retaken unscanned, their rss the one extend took from
-    # the scan, and only their P-values are recomputed for this run's pool
-    retake = len(_steps) - 1 if _steps else 0
-    rss_floor = state.rss * _PERFECT_FIT_REL
-    trace = []
-    while True:
-        k_sel = len(state.selected)
-        if k_sel >= q_pool:
-            break
-        fit_new = state.fit_size + 1
-        if m.n - fit_new < 2:
-            break
-        if state.rss <= rss_floor:
-            break
-        if k_sel < retake:
-            after = _steps[k_sel + 1]
-            j, rss_cand = after.selected[-1], after.rss
-        else:
-            try:
-                j, rss_cand = scan_best(state, m, excl_mask)
-            except NoCandidates:
-                break
-        ctx = pvalues.PvalueContext(m.n, fit_new, q_pool - k_sel)
-        p_f = pvalues.pf_from_rss_ratio(ctx, rss_cand, state.rss)
-        p_g = pvalues.pg_stepwise(ctx, p_f)
-        if k_sel < cfg.kmn or p_g < cfg.p0:
-            if k_sel < retake:
-                state = after.fork()
-            else:
-                if _steps == []:
-                    # the start of every run that resumes from this one
-                    _steps.append(state.fork())
-                extend(state, m, j)
-                if _steps is not None:
-                    _steps.append(state.fork())
-            trace.append(TraceStep(j, p_f, p_g, state.rss, forced=p_g >= cfg.p0))
-        else:
-            break
-    fit = _Fit(state, state.selected, q_pool, trace)
+    fit, = _advance(m, cfg, [_Run(m, state, excl, _steps)])
     return fit if _stepwise else next(_refine(m, [fit], cfg))
 
 
@@ -777,8 +829,17 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     states kept by the run it branched from (the root, when exclusions do not
     accumulate), those up to that run's step onto the covariate the branch
     excludes.  It retakes their steps without reading the matrix and only
-    recomputes their P-values for its smaller competitor pool.  The output is
-    the same as that of running every branch from scratch.
+    recomputes their P-values for its smaller competitor pool.
+
+    The branches of one depth run in lockstep (``_advance``), in groups
+    bounded by a cell budget: in each round, every branch that takes a new
+    column is extended at once, and all of them share one product with X
+    for their X^T u.  Their fits are then refined in one call, and merged in
+    the order a branch-by-branch run would give.  The products only rank
+    candidates, and every reported rss, P-value and coefficient comes from
+    the n rows, so the output is that of running every branch from scratch
+    with ``f1st``, except where two candidates' scores tie to within
+    rounding (about 1e-14).
     """
     if cfg is None:
         cfg = SelectionConfig()
@@ -791,7 +852,9 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     found = {frozenset(root.selected): (root, "root")}
     frontier = [(root, base, root_steps)]
     for depth in range(1, cfg.m + 1):
-        nxt = []
+        # only runs that later branches resume from keep their states
+        keep = accumulate_exclusions and depth < cfg.m
+        branches = []
         for res, excl, steps in frontier:
             src, steps = (res, steps) if accumulate_exclusions else (root, root_steps)
             cols = [t.index for t in src.trace]
@@ -804,17 +867,17 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
                 # chose no column of bex: from the same states this branch's
                 # scans would make the same choices and extend would build the
                 # same states, so it retakes them
-                bsteps = steps[:cols.index(i) + 1] if i in cols else steps[:]
-                r2 = f1st(m, y, cfg, exclude=bex, _steps=bsteps)
-                if not r2.selected:
-                    continue
-                key = frozenset(r2.selected)
-                if key not in found:
-                    dropped = ", ".join(m.names[j] for j in sorted(bex - base))
-                    found[key] = (r2, f"depth {depth}, excluding {dropped}")
-                # only runs that later branches resume from keep their states
-                keep = accumulate_exclusions and depth < cfg.m
-                nxt.append((r2, bex, bsteps if keep else None))
+                branches.append((bex, steps[:cols.index(i) + 1] if i in cols else steps[:]))
+        runs = (_Run(m, bsteps[0].fork(), bex, bsteps, keep) for bex, bsteps in branches)
+        nxt = []
+        for (bex, bsteps), r2 in zip(branches, _refine(m, _advance(m, cfg, runs), cfg)):
+            if not r2.selected:
+                continue
+            key = frozenset(r2.selected)
+            if key not in found:
+                dropped = ", ".join(m.names[j] for j in sorted(bex - base))
+                found[key] = (r2, f"depth {depth}, excluding {dropped}")
+            nxt.append((r2, bex, bsteps if keep else None))
         frontier = nxt
     results = [r for r, _ in found.values()]
     provenance = [p for _, p in found.values()]

@@ -161,8 +161,9 @@ def run_sim(spec, design=None):
     ``f1st`` on each replicate.  A replicate's ``seconds`` is its stepwise
     time plus an equal share of the batch's refinement time, so
     ``mean_seconds`` is still the total time over ``reps``.  ``f3st`` runs
-    whole on each replicate: each of its depths needs the refined results of
-    the one before.
+    whole on each replicate: within it, the branches of each depth advance
+    in lockstep, sharing one product with X per round, but each depth needs
+    the refined results of the one before, so replicates share nothing.
     """
     if design is None:
         m = _make_design(spec)

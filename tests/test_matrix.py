@@ -16,7 +16,7 @@ from gausscov import (
     standardize,
 )
 from gausscov import matrix
-from gausscov.matrix import _record_in_span, gram, seed_from_gram
+from gausscov.matrix import _record_in_span, extend_together, gram, seed_from_gram
 
 
 def brute_rss(cols, y):
@@ -70,6 +70,20 @@ class TestDataMatrix:
         X = 1e3 + rng.standard_normal((matrix._BLOCK_CELLS // 2, 3))
         want = ((X - X.mean(axis=0)) ** 2).sum(axis=0)
         assert DataMatrix(X).centred_norm2() == pytest.approx(want, rel=1e-12)
+
+    def test_col_means_come_from_the_centred_norm2_pass(self, monkeypatch):
+        # means far from zero, so that a relative error is one; the blocks
+        # split the columns as in the test above
+        rng = np.random.default_rng(12)
+        X = rng.uniform(-1e3, 1e3, 3) + rng.standard_normal((matrix._BLOCK_CELLS // 2, 3))
+        m = DataMatrix(X)
+        css = m.centred_norm2()
+        monkeypatch.setattr(DataMatrix, "_centre", lambda self: pytest.fail("second pass"))
+        means = m.col_means()
+        assert means == pytest.approx(X.mean(axis=0), rel=1e-13, abs=0.0)
+        assert m.col_means() is means and m.centred_norm2() is css
+        with pytest.raises(ValueError):
+            means[0] = 0.0
 
 
 class TestStandardize:
@@ -425,3 +439,94 @@ def scan_best_first(m, y):
     extend_intercept(st)
     j, _ = scan_best(st, m)
     return j
+
+
+class TestExtendTogether:
+    """Extending many states at once gives each the extension it gets alone."""
+
+    def states(self):
+        # states of every kind on one matrix m: with and without the
+        # intercept, unscanned, at several fit sizes, in Gram mode, and one
+        # that keeps X^T r for another matrix
+        rng = np.random.default_rng(61)
+        n, q = 30, 40
+        X = rng.standard_normal((n, q))
+        X[:, 7] = X[:, 2] + 1e-3 * rng.standard_normal(n)
+        X[:, 12] = -3.0 * X[:, 5]
+        m = DataMatrix(X)
+        other = DataMatrix(rng.standard_normal((n, 9)))
+        ys = [X[:, :3] @ [1.0, -2.0, 0.5] + rng.standard_normal(n)] + list(
+            rng.standard_normal((5, n)))
+        states, cols = [], []
+        for y, intercept, steps in zip(ys, [True, True, False, True, False], [0, 3, 2, 5, 1]):
+            st = extend_intercept(ResidualState(y)) if intercept else ResidualState(y)
+            for _ in range(steps):
+                extend(st, m, scan_best(st, m)[0])
+            if steps % 2:
+                # the extension by the scanned column, kept by the scan
+                cols.append(scan_best(st, m)[0])
+            else:
+                scan_best(st, m)
+                cols.append(next(j for j in (7, 11, 10) if j not in st.selected))
+            states.append(st)
+        unscanned = extend_intercept(ResidualState(ys[5]))
+        extend(unscanned, m, 4)
+        elsewhere = extend_intercept(ResidualState(ys[5]))
+        scan_best(elsewhere, other)
+        g = gram(m, centred=True)
+        seeded = extend_intercept(ResidualState(m.col(0)))
+        seed_from_gram(seeded, m, g, 0)
+        extend(seeded, m, 5)
+        states += [unscanned, elsewhere, seeded]
+        cols += [9, 3, 6]
+        return m, states, cols
+
+    def test_each_state_gets_its_lone_extension(self):
+        m, states, cols = self.states()
+        alone = [extend(st.fork(), m, j) for st, j in zip(states, cols)]
+        extend_together(states, m, cols)
+        for st, want in zip(states, alone):
+            assert st.selected == want.selected
+            assert st.rss == want.rss
+            assert st.residual.tobytes() == want.residual.tobytes()
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(st.basis, want.basis))
+            for a, b in zip(st.factor(), want.factor()):
+                assert a.tobytes() == b.tobytes()
+            if want._xtr is None:
+                assert st._xtr is None
+                continue
+            for a, b in ((st._xtr, want._xtr), (st._resid_norm2, want._resid_norm2)):
+                assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+            if want._gram is not None:
+                assert st._xtr.tobytes() == want._xtr.tobytes()
+
+    def test_one_product_per_matrix(self, monkeypatch):
+        m, states, cols = self.states()
+        rows = []
+        product = matrix._products
+
+        def counting(mat, vectors):
+            rows.append((mat, len(vectors)))
+            return product(mat, vectors)
+
+        monkeypatch.setattr(matrix, "_products", counting)
+        extend_together(states, m, cols)
+        # the five scanned states on m share a product; the state scanned on
+        # the other matrix makes its own, the Gram and unscanned ones none
+        assert sorted(k for _, k in rows) == [1, 5]
+        assert [mat for mat, k in rows if k == 5] == [m]
+
+    def test_error_leaves_every_state_unchanged(self):
+        m, states, cols = self.states()
+
+        def snapshot(s):
+            return (list(s.selected), len(s.basis), s.residual.tobytes(), s.rss,
+                    None if s._xtr is None else s._xtr.tobytes())
+
+        before = [snapshot(s) for s in states]
+        # the last state has fitted column 5, and column 12 is -3 times it
+        with pytest.raises(DomainError):
+            extend_together(states, m, cols[:-1] + [5])
+        with pytest.raises(CollinearColumn):
+            extend_together(states, m, cols[:-1] + [12])
+        assert [snapshot(s) for s in states] == before

@@ -1167,25 +1167,26 @@ class TestF3st:
         assert root in {frozenset(r.selected) for r in flat.results}
 
 
-def f3st_from_scratch(m, y, cfg, accumulate):
+def f3st_from_scratch(m, y, cfg, accumulate, exclude=()):
     """f3st's branch tree rebuilt with plain f1st calls, each from scratch."""
-    root = f1st(m, y, cfg)
+    base = frozenset(exclude)
+    root = f1st(m, y, cfg, exclude=base)
     if not root.selected:
         return [], []
-    seen, found = {frozenset()}, {frozenset(root.selected): (root, "root")}
-    frontier = [(root, frozenset())]
+    seen, found = {base}, {frozenset(root.selected): (root, "root")}
+    frontier = [(root, base)]
     for depth in range(1, cfg.m + 1):
         nxt = []
         for res, excl in frontier:
             for i in res.selected:
-                bex = (excl | {i}) if accumulate else frozenset({i})
+                bex = (excl | {i}) if accumulate else base | {i}
                 if bex in seen or len(bex) >= m.q:
                     continue
                 seen.add(bex)
                 r = f1st(m, y, cfg, exclude=bex)
                 if not r.selected:
                     continue
-                dropped = ", ".join(m.names[j] for j in sorted(bex))
+                dropped = ", ".join(m.names[j] for j in sorted(bex - base))
                 found.setdefault(frozenset(r.selected), (r, f"depth {depth}, excluding {dropped}"))
                 nxt.append((r, bex))
         frontier = nxt
@@ -1206,7 +1207,7 @@ class TestF3stPrefixReuse:
 
     def wide(self):
         # q > n as in the wide_f3st benchmark, where the start state a branch
-        # reuses carries the one X^T [r | 1] product of the root's first scan
+        # reuses carries the X^T r of the root's first scan
         rng = np.random.default_rng(7)
         m, _ = standardize(DataMatrix(rng.standard_normal((60, 400))))
         y = 2.0 * m.values[:, [3, 50, 120, 250, 390]].sum(axis=1) + rng.standard_normal(60)
@@ -1271,6 +1272,129 @@ class TestF3stPrefixReuse:
             if a.forced != b.forced
         ]
         assert flipped
+
+
+def four_signals(seed):
+    return TestF3stPrefixReuse().four_signals(seed)
+
+
+def duplicated_signals():
+    # columns 21 and 26 are bitwise copies of signal columns 1 and 3, so their
+    # scores tie exactly and the smaller index must win; a branch that
+    # excludes 1 or 3 takes its copy instead
+    m, y = four_signals(3)
+    X = np.array(m.values)
+    X[:, 21], X[:, 26] = X[:, 1], X[:, 3]
+    return DataMatrix(X), y
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The row count of every product with X, in order."""
+    from gausscov import matrix
+
+    rows = []
+    product = matrix._products
+
+    def counting(m, vectors):
+        rows.append(len(vectors))
+        return product(m, vectors)
+
+    monkeypatch.setattr(matrix, "_products", counting)
+    return rows
+
+
+class TestF3stLockstep:
+    """The branches of a depth advanced in lockstep equal branches run one by one."""
+
+    CORPUS = {
+        "signals-0": (lambda: four_signals(0), {}, ()),
+        "signals-1": (lambda: four_signals(1), {}, ()),
+        "forced": (lambda: four_signals(2), {"kmn": 6}, ()),
+        "forced-flips": (TestF3stPrefixReuse().forced_flips, {"kmn": 3}, ()),
+        "base-exclude": (lambda: four_signals(0), {}, (0, 12, 17)),
+        "wide": (TestF3stPrefixReuse().wide, {}, ()),
+        "duplicated": (duplicated_signals, {}, ()),
+    }
+
+    @pytest.mark.parametrize("case", list(CORPUS))
+    def test_byte_identical_to_branches_run_from_scratch(self, case, products):
+        # every depth, both exclusion rules, intercept on and off
+        make, kw, exclude = self.CORPUS[case]
+        m, y = make()
+        sizes = []
+        for depth, accumulate, intercept in itertools.product([1, 2, 3], [True, False],
+                                                              [True, False]):
+            cfg = SelectionConfig(m=depth, intercept=intercept, **kw)
+            products.clear()
+            got = f3st(m, y, cfg, exclude=exclude, accumulate_exclusions=accumulate)
+            batched = max(products)
+            want, provenance = f3st_from_scratch(m, y, cfg, accumulate, exclude)
+            assert got.provenance == provenance
+            assert [json.dumps(r.to_dict(include_trace=True)) for r in got.results] == [
+                json.dumps(r.to_dict(include_trace=True)) for r in want]
+            sizes.append((len(want), batched))
+            if case == "duplicated":
+                for r, p in zip(got.results, got.provenance):
+                    for j, copy in ((1, 21), (3, 26)):
+                        assert copy not in r.selected or f"x{j + 1}," in p + ","
+                assert any(21 in r.selected or 26 in r.selected for r in got.results)
+        # several results, and rounds that extended several branches with
+        # one product
+        assert max(sizes) >= (3, 2)
+        assert max(b for _, b in sizes) > 1
+
+    def test_one_product_per_round(self, products, monkeypatch):
+        # the root makes one product for its first scan and one per step;
+        # each depth then makes one per round in which any branch takes a new
+        # column, however many do
+        from gausscov import matrix
+
+        m, y = TestF3stPrefixReuse().wide()
+        rounds = []
+        together = matrix.extend_together
+
+        def recording(states, mat, cols):
+            if states:
+                rounds.append(len(states))
+            return together(states, mat, cols)
+
+        monkeypatch.setattr(select, "extend_together", recording)
+        got = f3st(m, y, SelectionConfig(m=2))
+        root = got.results[got.provenance.index("root")]
+        assert rounds[:len(root.trace)] == [1] * len(root.trace)
+        assert products == [1] + rounds
+        assert len(products) < 1 + sum(rounds)
+        assert max(rounds) > 1
+
+    def test_many_runs_stay_within_the_cell_budget(self, monkeypatch):
+        # sixteen forced root steps, so depth 1 has sixteen branches, each
+        # forced on to sixteen steps; with a budget of two runs, only two
+        # branches hold their own X^T r and norms at a time
+        rng = np.random.default_rng(9)
+        m, _ = standardize(DataMatrix(rng.standard_normal((40, 20_000))))
+        y = rng.standard_normal(40)
+        cfg = SelectionConfig(m=1, kmn=16, max_subset_refine=0)
+        cells = 3 * m.q
+        monkeypatch.setattr(select, "_LOCKSTEP_CELLS", 2 * cells)
+
+        def peak(fn):
+            tracemalloc.start()
+            try:
+                out = fn()
+                return out, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        m.centred_norm2()
+        steps = []
+        root, root_peak = peak(lambda: f1st(m, y, cfg, _steps=steps))
+        assert len(root.selected) == 16
+        got, f3st_peak = peak(lambda: f3st(m, y, cfg, accumulate_exclusions=False))
+        # the root again, with its kept states, then two runs' vectors and
+        # products (6 q cells); sixteen runs at once hold about 49 q cells more
+        assert f3st_peak - root_peak < 8 * 8 * m.q, (f3st_peak, root_peak)
+        assert len(got) > 2
 
 
 class TestDeterminism:
