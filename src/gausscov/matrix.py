@@ -288,7 +288,7 @@ def _step(state, v, name="vector"):
     u /= norm
     c = float(u @ state.residual)
     residual = state.residual - c * u
-    return u, np.append(coef, norm), c, residual, float(residual @ residual)
+    return u, np.concatenate((coef, [norm])), c, residual, float(residual @ residual)
 
 
 def _record_in_span(state, v):

@@ -667,10 +667,11 @@ def _advance(m, cfg, runs):
                 # the extension keeps
                 run.trace.append(TraceStep(j, p_f, p_g, rss_cand, forced=p_g >= cfg.p0))
                 going.append(run)
-            extend_together([run.state for run in grow], m, cols)
-            for run in grow:
-                if run.record:
-                    run.steps.append(run.state.fork())
+            if grow:
+                extend_together([run.state for run in grow], m, cols)
+                for run in grow:
+                    if run.record:
+                        run.steps.append(run.state.fork())
             live = going
         fits += [_Fit(run.state, run.state.selected, run.q_pool, run.trace) for run in group]
     return fits
