@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy.special import betainc as sp_betainc
 
+import gausscov.matrix as matrix
 import gausscov.select as select
 from gausscov import (
     CollinearColumn,
@@ -1279,9 +1280,9 @@ def four_signals(seed):
 
 
 def duplicated_signals():
-    # columns 21 and 26 are bitwise copies of signal columns 1 and 3, so their
-    # scores tie exactly and the smaller index must win; a branch that
-    # excludes 1 or 3 takes its copy instead
+    # columns 21 and 26 are bitwise copies of signal columns 1 and 3; at these
+    # positions their products tie bitwise, single or batched, so the smaller
+    # index must win, and a branch that excludes 1 or 3 takes its copy instead
     m, y = four_signals(3)
     X = np.array(m.values)
     X[:, 21], X[:, 26] = X[:, 1], X[:, 3]
@@ -1291,8 +1292,6 @@ def duplicated_signals():
 @pytest.fixture
 def products(monkeypatch):
     """The row count of every product with X, in order."""
-    from gausscov import matrix
-
     rows = []
     product = matrix._products
 
@@ -1348,8 +1347,6 @@ class TestF3stLockstep:
         # the root makes one product for its first scan and one per step;
         # each depth then makes one per round in which any branch takes a new
         # column, however many do
-        from gausscov import matrix
-
         m, y = TestF3stPrefixReuse().wide()
         rounds = []
         together = matrix.extend_together
@@ -1386,6 +1383,7 @@ class TestF3stLockstep:
             finally:
                 tracemalloc.stop()
 
+        # the matrix's column statistics are kept for good: compute them first
         m.centred_norm2()
         steps = []
         root, root_peak = peak(lambda: f1st(m, y, cfg, _steps=steps))
