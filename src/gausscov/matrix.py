@@ -23,18 +23,27 @@ norms - (X^T u)^2.  ``extend_together`` extends many fits of one matrix at
 once, and takes the X^T u of all of them from one product U X, U stacking
 their new unit vectors.  Scans choose from the kept vectors in O(q), and
 take the rss after the chosen column from its component orthogonal to the
-basis on the n rows, which the extension that follows reuses.
+basis on the n rows, which the extension that follows reuses.  The fit also
+keeps X^T b of each basis vector b after the intercept (of every one,
+without it): the other rows of its first scan's product and each X^T u.
+
+One rule takes X^T u with no pass over X from a Gram column, the products
+G[j] of column j with every column: u is column j's component orthogonal
+to the basis, whose coefficient on each kept b is (X^T b)[j], so
+X^T (|u| u) = G[j] - sum_b (X^T b)[j] X^T b, in O(qk).  Two sources give
+G[j].  A fit seeded by ``seed_from_gram`` (the regression of one column of
+X on the others, given the q x q Gram matrix G of X) reads every column
+from G and the matrix never: X^T r and the norms start as a column and the
+diagonal of G.  ``fitted_gram`` forms, from a fit's R and kept products,
+the Gram column of every column it took, X^T x_j = sum_i R_ij X^T b_i; a
+state given them by ``use_gram``, and its forks, extend by those columns
+from them and by any other column with a product as before.  The n-row
+basis and residual are built the same way in every case.
 
 The products only rank candidates.  A batched product may round X^T u in
-the last bits differently from a single one, which can change a scan's
-choice only between scores tied to about 1e-14; every rss, R column and c
-comes from the n rows.
-
-A fit seeded by ``seed_from_gram`` (the regression of one column of X on the
-others, given the q x q Gram matrix G of X) reads the matrix never: X^T r and
-the norms start as a column and the diagonal of G, and each extension takes
-X^T u from G and the kept products X^T b of the earlier basis vectors in
-O(qk).  The n-row basis and residual are built the same way in both modes.
+the last bits differently from a single one, and the Gram rule differently
+again, which can change a scan's choice only between scores tied to within
+that rounding; every rss, R column and c comes from the n rows.
 
 ``extend_together``, ``extend`` (which extends one fit) and
 ``extend_intercept`` are the only ways a fit grows.  A fit's arrays are
@@ -61,10 +70,12 @@ __all__ = [
     "extend",
     "extend_intercept",
     "extend_together",
+    "fitted_gram",
     "gram",
     "scan_best",
     "seed_from_gram",
     "standardize",
+    "use_gram",
 ]
 
 # A candidate is usable only while its component orthogonal to the basis keeps
@@ -202,11 +213,13 @@ class ResidualState:
     occupies a basis vector but is not listed in ``selected``.
 
     Once ``scan_best`` has run, or ``seed_from_gram`` has, the state also keeps
-    X^T r and the columns' squared norms orthogonal to the basis, for the
-    matrix it scanned; each later extension updates both from X^T u, which it
-    takes from a product with X (shared by the states ``extend_together``
-    extends), or in Gram mode from the Gram matrix and the kept X^T b of every
-    basis vector b after the intercept.  A scan also keeps the extension by the
+    X^T r, the columns' squared norms orthogonal to the basis, and X^T b of
+    every basis vector b after the intercept, for the matrix it scanned;
+    each later extension updates them from X^T u.  It takes X^T u from a
+    product with X (shared by the states ``extend_together`` extends), or by
+    the Gram rule from the column's Gram column when the state has one: from
+    the Gram matrix in Gram mode (``seed_from_gram``), or from the Gram
+    columns ``use_gram`` gave it.  A scan also keeps the extension by the
     column it chose, which ``extend`` then reuses.
 
     Arrays are replaced, never written in place, so a ``fork`` shares them with
@@ -307,8 +320,17 @@ def _downdate(state, xtu):
     state._resid_norm2 = np.maximum(state._resid_norm2 - xtu * xtu, 0.0)
 
 
-def _extend_vectors(states, steps, cols):
-    """Grow each state by its step (an extension by column ``cols[b]``, or None for 1)."""
+def _gram_column(state, m, j):
+    """Column j of the state's Gram source for ``m``, or None when it has none."""
+    g = state._gram
+    if g is None or j is None or state._cache_for is not m:
+        return None
+    # a Gram matrix holds every column; ``fitted_gram`` only the fitted ones
+    return g.get(j) if isinstance(g, dict) else g[j]
+
+
+def _extend_vectors(states, steps, m, cols):
+    """Grow each state by its step (an extension by column ``cols[b]`` of ``m``, or None for 1)."""
     data = {}
     for state, step, j in zip(states, steps, cols):
         u, rcol, c, state.residual, state.rss = step
@@ -318,13 +340,14 @@ def _extend_vectors(states, steps, cols):
         state._c += (c,)
         if state._cache_for is None:
             continue
-        if state._gram is None:
+        gj = _gram_column(state, m, j)
+        if gj is None:
             data.setdefault(state._cache_for, []).append(state)
             continue
         # the new vector is column j, whose coefficient on each kept basis
         # vector b is (X^T b)[j], so X^T (|u| u) = G[j] - sum_b (X^T b)[j] X^T b,
         # |u| being the last entry of its column of R
-        xtu = np.array(state._gram[j])
+        xtu = np.array(gj)
         for xtb in state._xtb:
             xtu -= xtb[j] * xtb
         xtu /= rcol[-1]
@@ -332,8 +355,9 @@ def _extend_vectors(states, steps, cols):
         _downdate(state, xtu)
     # one product with each scanned matrix for all the states that keep it;
     # for a single state it is the same bits as X^T u
-    for m, group in data.items():
-        for state, xtu in zip(group, _products(m, np.array([s.basis[-1] for s in group]))):
+    for mat, group in data.items():
+        for state, xtu in zip(group, _products(mat, np.array([s.basis[-1] for s in group]))):
+            state._xtb.append(xtu)
             _downdate(state, xtu)
 
 
@@ -341,7 +365,7 @@ def extend_intercept(state):
     """Add the constant column to the fit (done first, before any covariate)."""
     if state.fit_size:
         raise DomainError("intercept must be the first fitted vector")
-    _extend_vectors([state], [_step(state, np.ones(state.n))], [None])
+    _extend_vectors([state], [_step(state, np.ones(state.n))], None, [None])
     return state
 
 
@@ -382,7 +406,7 @@ def extend_together(states, m, cols):
         if nxt is None or nxt[0] is not m or nxt[1] != j:
             nxt = (m, j, _step(state, m.col(j), f"column {j}"))
         steps.append(nxt[2])
-    _extend_vectors(states, steps, cols)
+    _extend_vectors(states, steps, m, cols)
     for state, j in zip(states, cols):
         state.selected.append(j)
 
@@ -415,6 +439,40 @@ def seed_from_gram(state, m, g, j):
     state._resid_norm2 = np.diagonal(g).copy()
 
 
+def fitted_gram(state):
+    """The Gram column of every column ``state`` has fitted, from its kept products.
+
+    Returns ``{j: column}`` for the columns in ``state.selected``, on the
+    matrix the state scanned.  The fitted columns are B R, so
+    X^T x_j = sum_i R_ij X^T b_i; summed over the basis vectors whose X^T b
+    the state keeps, those after the intercept when it fitted it first, this
+    is column j of ``gram(m, centred=True)``, else of ``gram(m,
+    centred=False)``, to rounding.  It reads no row of X: one product of
+    the k x k block of R with the k kept X^T b.
+    """
+    if state._cache_for is None or len(state._r) != state.fit_size:
+        raise DomainError("fitted Gram columns need a scanned state with a basis vector "
+                          "per column")
+    r, _ = state.factor()
+    off = state.fit_size - len(state._xtb)
+    cols = r[off:, state.fit_size - len(state.selected):].T @ np.array(state._xtb)
+    return dict(zip(state.selected, cols))
+
+
+def use_gram(state, m, columns):
+    """Extend the scanned ``state`` by any column in ``columns`` with no product with X.
+
+    ``columns`` is ``fitted_gram`` of a state that scanned ``m``, as ``state``
+    has, and is shared, not copied.  Each later extension by one of those
+    columns takes X^T u from it and the kept X^T b as in Gram mode; an
+    extension by any other column takes it from a product with X.
+    Forks of ``state`` keep the columns.
+    """
+    if state._cache_for is not m or state._gram is not None:
+        raise DomainError("fitted Gram columns need a state scanned on their matrix in data mode")
+    state._gram = columns
+
+
 def _ensure_scan_cache(state, m):
     if state._cache_for is m:
         return
@@ -432,8 +490,7 @@ def _ensure_scan_cache(state, m):
         xtr = prod[0] - coef * m.col_means()
         resid = np.array(m.centred_norm2())
     else:
-        # a copy, so that the other rows of the product are not kept
-        xtr = prod[0].copy()
+        xtr = prod[0]
         resid = np.array(m.col_norm2())
     for row in prod[1:]:
         resid -= row * row
@@ -442,12 +499,19 @@ def _ensure_scan_cache(state, m):
     state._gram = None
     state._xtr = xtr
     state._resid_norm2 = resid
+    state._xtb = list(prod[1:])
 
 
 def scan_best(state, m, excluded=()):
     """Best next column: the admissible candidate giving the largest rss reduction.
 
-    Returns ``(j, rss_after_adding_j)``.  Ties break to the smallest index.
+    Returns ``(j, rss_after_adding_j)``.  Of candidates whose scores are
+    equal bit for bit, the smallest index wins.  Bitwise-equal columns need
+    not score bitwise-equal, though: their kept products may round
+    differently (a BLAS kernel may treat some columns of a product apart
+    from the rest, and a batched product or the Gram rule rounds otherwise),
+    so which of two duplicate columns is chosen is not specified, only that
+    the same call on the same state always chooses the same one.
     Selected, excluded and numerically collinear columns are skipped; if
     nothing admissible remains, NoCandidates is raised.  Scores come from the
     state's kept X^T r and residual column norms; only the first scan of a

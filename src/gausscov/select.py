@@ -27,7 +27,8 @@ from scipy.linalg import solve_triangular
 from . import pvalues
 from .errors import CollinearColumn, DomainError, NoCandidates, TooManyColumns
 from .matrix import (COLLINEARITY_TOL, ResidualState, _record_in_span, extend,
-                     extend_intercept, extend_together, scan_best, seed_from_gram)
+                     extend_intercept, extend_together, fitted_gram, scan_best,
+                     seed_from_gram, use_gram)
 
 __all__ = [
     "ApproximationSet",
@@ -64,8 +65,10 @@ _CACHED_ROWS = 4096
 _SEARCH_CELLS = 1 << 22
 
 # Each stepwise run advanced in lockstep keeps X^T r and the residual column
-# norms, and its row of the round's product with X: 3q cells.  Runs advance
-# together only while their vectors hold at most this many cells.
+# norms, the X^T u of every column it takes (from the round's product with X
+# or a Gram column), and a vector of transients: (3 + k) q cells for a run
+# that keeps k products of its own.  Runs advance together only while their
+# vectors hold at most this many cells.
 _LOCKSTEP_CELLS = 1 << 22
 
 
@@ -615,22 +618,24 @@ class _Run:
         self.trace = []
 
 
-def _advance(m, cfg, runs):
+def _advance(m, cfg, runs, kept=0):
     """The ``_Fit`` of each stepwise run in the iterable ``runs``, all advanced on ``m``.
 
     Runs are taken in groups, as many as keep their vectors within
-    ``_LOCKSTEP_CELLS``, and each group is advanced in lockstep until every
-    run in it stops.  In each round, every live run takes its next step as
-    ``f1st`` describes: it stops at a break, or it retakes its next step, or
-    it scans for the best candidate (``scan_best``), and it stops unless that
-    candidate passes or is forced.  The runs that take a new column are then
-    extended together (``extend_together``): each gets its own extension on
-    the n rows, and those in data mode share one product with X for their
-    X^T u.  The products only rank the candidates of later scans; every rss
-    a run reports, and the R and c its fit keeps, come from the n rows.
+    ``_LOCKSTEP_CELLS`` when each keeps ``kept`` products of its own, and
+    each group is advanced in lockstep until every run in it stops.  In
+    each round, every live run takes its next step as ``f1st`` describes:
+    it stops at a break, or it retakes its next step, or it scans for the
+    best candidate (``scan_best``), and it stops unless that candidate passes
+    or is forced.  The runs that take a new column are then extended
+    together (``extend_together``): each gets its own extension on the n
+    rows, and takes its X^T u from the column's Gram column when it has one,
+    while the others in data mode share one product with X for theirs.
+    These X^T u only rank the candidates of later scans; every rss a run
+    reports, and the R and c its fit keeps, come from the n rows.
     """
     runs = iter(runs)
-    size = max(1, _LOCKSTEP_CELLS // (3 * m.q))
+    size = max(1, _LOCKSTEP_CELLS // ((3 + kept) * m.q))
     fits = []
     while group := list(itertools.islice(runs, size)):
         live = group
@@ -832,15 +837,22 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     excludes.  It retakes their steps without reading the matrix and only
     recomputes their P-values for its smaller competitor pool.
 
-    The branches of one depth run in lockstep (``_advance``), in groups
-    bounded by a cell budget: in each round, every branch that takes a new
-    column is extended at once, and all of them share one product with X
-    for their X^T u.  Their fits are then refined in one call, and merged in
-    the order a branch-by-branch run would give.  The products only rank
-    candidates, and every reported rss, P-value and coefficient comes from
-    the n rows, so the output is that of running every branch from scratch
-    with ``f1st``, except where two candidates' scores tie to within
-    rounding (about 1e-14).
+    The root's states keep the product X^T b of each of their basis vectors,
+    so after the root the Gram column of each column it took is
+    X^T x_j = sum_i R_ij X^T b_i (``fitted_gram``), formed with no pass over
+    X and held only for this call.  Every branch starts from the root's
+    states with those columns (``use_gram``).  The branches of one depth run
+    in lockstep (``_advance``), in groups bounded by a cell budget that
+    counts, for each branch, as many products of its own as the root took:
+    in each round, every branch that takes a new column is extended at once.
+    A branch that takes one of the root's columns takes its X^T u from that
+    column's Gram column in O(qk), as a Gram-mode fit of ``fgr1st`` does;
+    the others share one product with X for theirs.  The fits are then
+    refined in one call, and merged in the order a branch-by-branch run
+    would give.  These X^T u only rank candidates, and every reported rss,
+    P-value and coefficient comes from the n rows, so the output is that of
+    running every branch from scratch with ``f1st``, except where two
+    candidates' scores tie to within rounding.
     """
     if cfg is None:
         cfg = SelectionConfig()
@@ -849,6 +861,10 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     root = f1st(m, y, cfg, exclude=base, _steps=root_steps)
     if not root.selected:
         return ApproximationSet([], [])
+    # every branch starts from one of the root's states
+    gram = fitted_gram(root_steps[-1])
+    for state in root_steps:
+        use_gram(state, m, gram)
     seen_excl = {base}
     found = {frozenset(root.selected): (root, "root")}
     frontier = [(root, base, root_steps)]
@@ -871,7 +887,8 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
                 branches.append((bex, steps[:cols.index(i) + 1] if i in cols else steps[:]))
         runs = (_Run(m, bsteps[0].fork(), bex, bsteps, keep) for bex, bsteps in branches)
         nxt = []
-        for (bex, bsteps), r2 in zip(branches, _refine(m, _advance(m, cfg, runs), cfg)):
+        fits = _advance(m, cfg, runs, len(gram))
+        for (bex, bsteps), r2 in zip(branches, _refine(m, fits, cfg)):
             if not r2.selected:
                 continue
             key = frozenset(r2.selected)

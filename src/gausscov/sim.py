@@ -162,8 +162,10 @@ def run_sim(spec, design=None):
     time plus an equal share of the batch's refinement time, so
     ``mean_seconds`` is still the total time over ``reps``.  ``f3st`` runs
     whole on each replicate: within it, the branches of each depth advance
-    in lockstep, sharing one product with X per round, but each depth needs
-    the refined results of the one before, so replicates share nothing.
+    in lockstep, take the X^T u of the root's columns from their Gram
+    columns, which the root's own products give, and share one product with
+    X per round for any other column; but each depth needs the refined
+    results of the one before, so replicates share nothing.
     """
     if design is None:
         m = _make_design(spec)

@@ -16,7 +16,8 @@ from gausscov import (
     standardize,
 )
 from gausscov import matrix
-from gausscov.matrix import _record_in_span, extend_together, gram, seed_from_gram
+from gausscov.matrix import (_record_in_span, extend_together, fitted_gram, gram, seed_from_gram,
+                             use_gram)
 
 
 def brute_rss(cols, y):
@@ -530,3 +531,84 @@ class TestExtendTogether:
         with pytest.raises(CollinearColumn):
             extend_together(states, m, cols[:-1] + [12])
         assert [snapshot(s) for s in states] == before
+
+
+class TestFittedGram:
+    """Extending by a column from its fitted Gram column equals extending with a product."""
+
+    def root(self, intercept):
+        # columns with large means, so the intercept's share of each matters
+        rng = np.random.default_rng(62)
+        n, q = 40, 60
+        X = rng.standard_normal((n, q)) + 3.0 * rng.standard_normal(q)
+        m = DataMatrix(X)
+        y = X[:, [3, 17, 29, 44]] @ [1.0, -2.0, 1.5, 0.7] + rng.standard_normal(n)
+        st = extend_intercept(ResidualState(y)) if intercept else ResidualState(y)
+        steps = []
+        for _ in range(5):
+            j, _ = scan_best(st, m)
+            steps.append(st.fork())
+            extend(st, m, j)
+        return m, st, steps
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_columns_are_those_of_the_gram_matrix(self, intercept):
+        m, st, _ = self.root(intercept)
+        g = gram(m, centred=intercept)
+        cols = fitted_gram(st)
+        assert list(cols) == st.selected
+        for j, col in cols.items():
+            assert np.abs(col - g[j]).max() <= 1e-12 * np.abs(g[j]).max()
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_extension_equals_one_with_a_product(self, intercept, monkeypatch):
+        m, root, steps = self.root(intercept)
+        cols = fitted_gram(root)
+        later = root.selected[2:]
+        # a fork of the state before the root's second step, extended by the
+        # root's later columns; and one extended first by a column the root
+        # did not take, so its kept products mix both sources
+        other = next(j for j in range(m.q) if j not in root.selected)
+        paths = [later, [other] + later]
+        got, want = [], []
+        rows = []
+        product = matrix._products
+
+        def counting(mat, vectors):
+            rows.append(len(vectors))
+            return product(mat, vectors)
+
+        monkeypatch.setattr(matrix, "_products", counting)
+        for path in paths:
+            a, b = steps[1].fork(), steps[1].fork()
+            use_gram(a, m, cols)
+            for j in path:
+                extend(a, m, j)
+                extend(b, m, j)
+            got.append(a)
+            want.append(b)
+        # only the product-extended reference states and the column the root
+        # did not take make products
+        assert len(rows) == sum(map(len, paths)) + 1
+        for a, b in zip(got, want):
+            assert a.selected == b.selected
+            assert a.rss == b.rss
+            assert a.residual.tobytes() == b.residual.tobytes()
+            assert all(u.tobytes() == v.tobytes() for u, v in zip(a.basis, b.basis))
+            for u, v in zip(a.factor(), b.factor()):
+                assert u.tobytes() == v.tobytes()
+            for u, v in ((a._xtr, b._xtr), (a._resid_norm2, b._resid_norm2)):
+                assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
+            assert scan_best(a.fork(), m)[0] == scan_best(b.fork(), m)[0]
+        # the fork it resumed from is unchanged, and has no Gram columns
+        assert steps[1]._gram is None and len(steps[1].selected) == 1
+
+    def test_needs_a_scanned_state_in_data_mode(self):
+        m, root, steps = self.root(True)
+        cols = fitted_gram(root)
+        with pytest.raises(DomainError):
+            use_gram(extend_intercept(ResidualState(m.col(0))), m, cols)
+        with pytest.raises(DomainError):
+            use_gram(steps[1], DataMatrix(np.array(m.values)), cols)
+        with pytest.raises(DomainError):
+            fitted_gram(extend(extend_intercept(ResidualState(m.col(0))), m, 4))

@@ -1303,6 +1303,30 @@ def products(monkeypatch):
     return rows
 
 
+@pytest.fixture
+def advances(monkeypatch, products):
+    """For each ``_advance`` call in order (the root's, then each depth's):
+    the columns of each of its extension rounds, and the row counts of its
+    products with X."""
+    calls = []
+    together, advance = select.extend_together, select._advance
+
+    def recording_together(states, mat, cols):
+        calls[-1][0].append(list(cols))
+        return together(states, mat, cols)
+
+    def recording_advance(*args):
+        calls.append(([], []))
+        start = len(products)
+        fits = advance(*args)
+        calls[-1][1].extend(products[start:])
+        return fits
+
+    monkeypatch.setattr(select, "extend_together", recording_together)
+    monkeypatch.setattr(select, "_advance", recording_advance)
+    return calls
+
+
 class TestF3stLockstep:
     """The branches of a depth advanced in lockstep equal branches run one by one."""
 
@@ -1317,7 +1341,7 @@ class TestF3stLockstep:
     }
 
     @pytest.mark.parametrize("case", list(CORPUS))
-    def test_byte_identical_to_branches_run_from_scratch(self, case, products):
+    def test_byte_identical_to_branches_run_from_scratch(self, case, advances):
         # every depth, both exclusion rules, intercept on and off
         make, kw, exclude = self.CORPUS[case]
         m, y = make()
@@ -1325,54 +1349,69 @@ class TestF3stLockstep:
         for depth, accumulate, intercept in itertools.product([1, 2, 3], [True, False],
                                                               [True, False]):
             cfg = SelectionConfig(m=depth, intercept=intercept, **kw)
-            products.clear()
+            advances.clear()
             got = f3st(m, y, cfg, exclude=exclude, accumulate_exclusions=accumulate)
-            batched = max(products)
+            # the extensions of each depth that took no row of a product
+            free = [sum(map(len, rounds)) - sum(rows) for rounds, rows in advances[1:]]
             want, provenance = f3st_from_scratch(m, y, cfg, accumulate, exclude)
             assert got.provenance == provenance
             assert [json.dumps(r.to_dict(include_trace=True)) for r in got.results] == [
                 json.dumps(r.to_dict(include_trace=True)) for r in want]
-            sizes.append((len(want), batched))
+            sizes.append((len(want), max(free, default=0)))
             if case == "duplicated":
                 for r, p in zip(got.results, got.provenance):
                     for j, copy in ((1, 21), (3, 26)):
                         assert copy not in r.selected or f"x{j + 1}," in p + ","
                 assert any(21 in r.selected or 26 in r.selected for r in got.results)
-        # several results, and rounds that extended several branches with
-        # one product
-        assert max(sizes) >= (3, 2)
-        assert max(b for _, b in sizes) > 1
+        # several results, and a depth that extended several branches with
+        # no product
+        assert max(n for n, _ in sizes) >= 3
+        assert max(f for _, f in sizes) >= 2
 
-    def test_one_product_per_round(self, products, monkeypatch):
+    def test_one_product_per_round(self, advances):
         # the root makes one product for its first scan and one per step;
-        # each depth then makes one per round in which any branch takes a new
-        # column, however many do
+        # each depth then makes one per round in which any branch takes a
+        # column the root did not take, however many do, and none for the
+        # root's columns
         m, y = TestF3stPrefixReuse().wide()
-        rounds = []
-        together = matrix.extend_together
-
-        def recording(states, mat, cols):
-            if states:
-                rounds.append(len(states))
-            return together(states, mat, cols)
-
-        monkeypatch.setattr(select, "extend_together", recording)
         got = f3st(m, y, SelectionConfig(m=2))
         root = got.results[got.provenance.index("root")]
-        assert rounds[:len(root.trace)] == [1] * len(root.trace)
-        assert products == [1] + rounds
-        assert len(products) < 1 + sum(rounds)
-        assert max(rounds) > 1
+        taken = [t.index for t in root.trace]
+        (root_rounds, root_rows), *depths = advances
+        assert root_rounds == [[j] for j in taken]
+        assert root_rows == [1] * (1 + len(taken))
+        for rounds, rows in depths:
+            new = [[j for j in cols if j not in taken] for cols in rounds]
+            assert rows == [len(cols) for cols in new if cols]
+        products = sum(len(rows) for _, rows in advances)
+        depth_rounds = [cols for rounds, _ in depths for cols in rounds]
+        assert products == 1 + len(taken) + sum(any(j not in taken for j in cols)
+                                                for cols in depth_rounds)
+        assert products < 1 + len(taken) + len(depth_rounds)
+        assert max(map(len, depth_rounds)) > 1
+
+    def test_f1st_makes_one_product_per_step(self, products):
+        # a lone f1st keeps each X^T u it computes, and makes no more
+        # products for it: its first scan, then one single row per step
+        for make in (TestF3stPrefixReuse().wide, lambda: four_signals(0)):
+            m, y = make()
+            for intercept in (True, False):
+                products.clear()
+                state = []
+                got = f1st(m, y, SelectionConfig(intercept=intercept), _steps=state)
+                assert products == [1] * (1 + len(got.trace))
+                assert len(state[-1]._xtb) == len(got.trace)
 
     def test_many_runs_stay_within_the_cell_budget(self, monkeypatch):
         # sixteen forced root steps, so depth 1 has sixteen branches, each
         # forced on to sixteen steps; with a budget of two runs, only two
-        # branches hold their own X^T r and norms at a time
+        # branches hold their own X^T r, norms and products at a time
         rng = np.random.default_rng(9)
         m, _ = standardize(DataMatrix(rng.standard_normal((40, 20_000))))
         y = rng.standard_normal(40)
         cfg = SelectionConfig(m=1, kmn=16, max_subset_refine=0)
-        cells = 3 * m.q
+        # a run's X^T r, norms and transients, and one product per root step
+        cells = (3 + 16) * m.q
         monkeypatch.setattr(select, "_LOCKSTEP_CELLS", 2 * cells)
 
         def peak(fn):
@@ -1387,11 +1426,12 @@ class TestF3stLockstep:
         m.centred_norm2()
         steps = []
         root, root_peak = peak(lambda: f1st(m, y, cfg, _steps=steps))
-        assert len(root.selected) == 16
+        assert len(root.trace) == 16
         got, f3st_peak = peak(lambda: f3st(m, y, cfg, accumulate_exclusions=False))
-        # the root again, with its kept states, then two runs' vectors and
-        # products (6 q cells); sixteen runs at once hold about 49 q cells more
-        assert f3st_peak - root_peak < 8 * 8 * m.q, (f3st_peak, root_peak)
+        # the root again, with its kept states, then the Gram columns of its
+        # sixteen columns and two runs' vectors and products
+        bound = 2 * cells + len(root.trace) * m.q + 2 * m.q
+        assert f3st_peak - root_peak < 8 * bound, (f3st_peak - root_peak, 8 * bound)
         assert len(got) > 2
 
 
