@@ -323,7 +323,7 @@ def _downdate(state, xtu):
 def _gram_column(state, m, j):
     """Column j of the state's Gram source for ``m``, or None when it has none."""
     g = state._gram
-    if g is None or j is None or state._cache_for is not m:
+    if g is None or state._cache_for is not m:
         return None
     # a Gram matrix holds every column; ``fitted_gram`` only the fitted ones
     return g.get(j) if isinstance(g, dict) else g[j]

@@ -1397,10 +1397,11 @@ class TestF3stLockstep:
             m, y = make()
             for intercept in (True, False):
                 products.clear()
-                state = []
-                got = f1st(m, y, SelectionConfig(intercept=intercept), _steps=state)
+                steps = []
+                got = f1st(m, y, SelectionConfig(intercept=intercept), _steps=steps)
+                assert got.trace
                 assert products == [1] * (1 + len(got.trace))
-                assert len(state[-1]._xtb) == len(got.trace)
+                assert len(steps[-1]._xtb) == len(got.trace)
 
     def test_many_runs_stay_within_the_cell_budget(self, monkeypatch):
         # sixteen forced root steps, so depth 1 has sixteen branches, each
