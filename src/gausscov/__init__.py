@@ -37,7 +37,6 @@ from .errors import (
 )
 from .featurize import (
     InteractionSpec,
-    interaction_columns,
     load_csv,
     make_interactions,
     make_lags,
@@ -127,7 +126,6 @@ __all__ = [
     "gaussian_pvalue",
     "graph_to_csv",
     "graph_to_dot",
-    "interaction_columns",
     "load_csv",
     "make_interactions",
     "make_lags",

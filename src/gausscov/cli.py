@@ -16,13 +16,11 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from .errors import DomainError, GausscovError
 from .featurize import (
     InteractionSpec,
-    interaction_columns,
     load_csv,
+    make_interactions,
     make_lags,
     make_trig,
     resolve_column,
@@ -253,24 +251,19 @@ def _parse_lags(text):
     return lags
 
 
-def _write_design_csv(path, y_name, y, names_iter_blocks):
-    """Write the response and then every (names, block) column chunk to CSV.
+def _write_design_csv(path, y_name, y, design):
+    """Write the response and then the columns of the DataMatrix ``design`` to CSV.
 
-    All blocks are gathered before the file is opened, so an error while
-    they are made leaves an existing file as it was.  Returns the feature
-    names written, in column order.
+    The design is built before the file is opened, so an error while it is
+    made leaves an existing file as it was.  Returns the feature names
+    written, in column order.
     """
-    buf_names = [y_name]
-    cols = [np.asarray(y)]
-    for names, block in names_iter_blocks:
-        buf_names.extend(names)
-        cols.extend(block.T)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(buf_names)
-        for i in range(len(cols[0])):
-            w.writerow([_fmt_float(col[i]) for col in cols])
-    return buf_names[1:]
+        w.writerow([y_name] + design.names)
+        for yi, row in zip(y, design.values):
+            w.writerow([_fmt_float(yi)] + [_fmt_float(v) for v in row])
+    return design.names
 
 
 def cmd_featurize(args):
@@ -304,16 +297,14 @@ def cmd_featurize(args):
         r_idx = resolve_column(m0, resp)
         resp_name = m0.names[r_idx]
         design, y = make_lags(m0.values, lags, response=r_idx, names=m0.names)
-        blocks = [(design.names, design.values)]
     elif args.trig is not None:
         y, _, resp_name = split_response(m0, resp)
         design = make_trig(m0.n, args.trig)
-        blocks = [(design.names, design.values)]
     else:
         y, rest, resp_name = split_response(m0, resp)
         spec = InteractionSpec(max_degree=args.interactions, dedup=not args.no_dedup)
-        blocks = interaction_columns(rest, spec)
-    name_map = _write_design_csv(args.out, resp_name, y, blocks)
+        design = make_interactions(rest, spec)
+    name_map = _write_design_csv(args.out, resp_name, y, design)
     if args.namemap:
         with open(args.namemap, "w", encoding="utf-8") as fh:
             for i, name in enumerate(name_map, start=1):

@@ -7,8 +7,9 @@ It reports a row of the wrong width first, wherever it lies, and otherwise
 the first offending cell in row-major order, with file coordinates.
 
 Feature constructors return DataMatrix objects whose column names record how
-each feature was built; the interaction expansion can also stream column
-blocks so very wide dictionaries never have to live in memory at once.
+each feature was built.  The interaction expansion forms its monomials in
+place in one array sized for the whole expansion, so it peaks at little more
+than the design it returns.
 """
 
 import csv
@@ -30,7 +31,6 @@ from .matrix import DataMatrix
 
 __all__ = [
     "InteractionSpec",
-    "interaction_columns",
     "load_csv",
     "make_interactions",
     "make_lags",
@@ -315,20 +315,17 @@ class InteractionSpec:
         column, say).
     max_columns
         Budget on generated (pre-dedup) columns; exceeding it raises.
-    chunk
-        Number of columns per streamed block.
     """
 
     max_degree: int = 2
     dedup: bool = True
     max_columns: int = 500_000
-    chunk: int = 256
 
     def __post_init__(self):
         if self.max_degree < 1:
             raise DomainError(f"max_degree must be >= 1, got {self.max_degree}")
-        if self.max_columns < 1 or self.chunk < 1:
-            raise DomainError("max_columns and chunk must be >= 1")
+        if self.max_columns < 1:
+            raise DomainError(f"max_columns must be >= 1, got {self.max_columns}")
 
 
 def monomial_count(q, max_degree):
@@ -344,15 +341,19 @@ def _monomial_name(names, combo):
     return "*".join(parts)
 
 
-def interaction_columns(m, spec=None):
-    """The monomial expansion of ``m``, as an iterator of (names, block) chunks.
+def make_interactions(m, spec=None):
+    """The monomial expansion of ``m`` as a DataMatrix.
 
-    Blocks hold up to ``spec.chunk`` columns.  Generation order is graded
-    lexicographic (degree 1 columns first, each degree in lexicographic order
-    of the index multiset), which makes column indices reproducible.  With
-    ``spec.dedup`` every column bitwise-identical to an already generated one
-    is silently dropped.  An expansion over ``spec.max_columns`` raises
-    ColumnBudgetExceeded here, before any block is made.
+    Columns come in graded lexicographic order (degree 1 columns first, each
+    degree in lexicographic order of the index multiset), which makes column
+    indices reproducible.  With ``spec.dedup`` every column bitwise-identical
+    to an earlier one is dropped.  An expansion over ``spec.max_columns``
+    raises ColumnBudgetExceeded before any column is allocated.
+
+    Every monomial is formed in place in one Fortran-ordered array with a
+    slot for each monomial, a dropped column's slot taken by the next one,
+    and the result is a view of the filled leading columns, so the expansion
+    peaks at little more than that array.
     """
     if spec is None:
         spec = InteractionSpec()
@@ -362,42 +363,21 @@ def interaction_columns(m, spec=None):
             f"expansion of {m.q} columns to degree {spec.max_degree} has {total} "
             f"monomials, over the budget of {spec.max_columns}"
         )
-    return _interaction_blocks(m, spec)
-
-
-def _interaction_blocks(m, spec):
-    seen = set()
-    buf = []
-    buf_names = []
+    out = np.empty((m.n, total), order="F")
+    names, seen = [], set()
     for deg in range(1, spec.max_degree + 1):
         for combo in itertools.combinations_with_replacement(range(m.q), deg):
-            col = np.array(m.col(combo[0]))
+            col = out[:, len(names)]
+            col[:] = m.col(combo[0])
             for j in combo[1:]:
                 col *= m.col(j)
             if spec.dedup:
-                key = hashlib.blake2b(col.tobytes(), digest_size=16).digest()
+                key = hashlib.blake2b(col, digest_size=16).digest()
                 if key in seen:
                     continue
                 seen.add(key)
-            buf.append(col)
-            buf_names.append(_monomial_name(m.names, combo))
-            if len(buf) >= spec.chunk:
-                yield buf_names, np.column_stack(buf)
-                buf, buf_names = [], []
-    if buf:
-        yield buf_names, np.column_stack(buf)
-
-
-def make_interactions(m, spec=None):
-    """Materialize the monomial expansion as a DataMatrix."""
-    names = []
-    blocks = []
-    for block_names, block in interaction_columns(m, spec):
-        names.extend(block_names)
-        blocks.append(block)
-    if not blocks:
-        raise DomainError("expansion produced no columns")
-    return DataMatrix(np.concatenate(blocks, axis=1), names=names, copy=False)
+            names.append(_monomial_name(m.names, combo))
+    return DataMatrix(out[:, :len(names)], names=names, copy=False)
 
 
 # ---------------------------------------------------------------------------

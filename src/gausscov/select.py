@@ -715,6 +715,10 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
     exclude : iterable of int, optional
         Column indices withheld from candidacy; they also shrink the
         Gaussian competitor pool.
+    _steps : list, optional
+        An empty list the run records its states into, the start state
+        first and then one per step (``_Run``), for ``f3st``'s branches to
+        resume from.
 
     Returns
     -------
@@ -726,14 +730,10 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
         cfg = SelectionConfig()
     y = _check_inputs(m, y)
     excl = _valid_exclusions(m, exclude)
-    if _steps:
-        # the states of the run this one resumes from (_Run)
-        state = _steps[0].fork()
-    else:
-        state = extend_intercept(ResidualState(y)) if cfg.intercept else ResidualState(y)
-        if _gram is not None:
-            # (G, j): y is column j of m, G = gram(m, centred=cfg.intercept)
-            seed_from_gram(state, m, *_gram)
+    state = extend_intercept(ResidualState(y)) if cfg.intercept else ResidualState(y)
+    if _gram is not None:
+        # (G, j): y is column j of m, G = gram(m, centred=cfg.intercept)
+        seed_from_gram(state, m, *_gram)
     fit, = _advance(m, cfg, [_Run(m, state, excl, _steps)])
     return fit if _stepwise else next(_refine(m, [fit], cfg))
 

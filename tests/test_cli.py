@@ -56,6 +56,14 @@ class TestSelect:
         assert strip_time(out) == GOLDEN_SELECT.rstrip("\n")
         assert any(ln.startswith("time:") for ln in out.splitlines())
 
+    def test_json_seconds_is_the_only_difference(self, capsys):
+        _, timed, _ = run(capsys, "select", TINY, "--output", "json")
+        _, plain, _ = run(capsys, "select", TINY, "--no-timing", "--output", "json")
+        payload = json.loads(timed)
+        seconds = payload.pop("seconds")
+        assert isinstance(seconds, float) and seconds >= 0.0
+        assert payload == json.loads(plain)
+
     def test_byte_identical_across_runs(self, capsys):
         _, a, _ = run(capsys, "select", TINY, "--no-timing", "--output", "json")
         _, b, _ = run(capsys, "select", TINY, "--no-timing", "--output", "json")
@@ -227,6 +235,22 @@ class TestGraph:
         assert dot.startswith("graph gausscov {")
         assert f"directed edges: {len(directed) - 1}" in out
 
+    def test_file_mode_text_prints_time(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "graph", TINY, "--outdir", str(tmp_path))
+        assert code == 0
+        last = out.splitlines()[-1].split()
+        assert last[0] == "time:" and float(last[1]) >= 0.0
+
+    def test_standardize_flag(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "graph", TINY, "--standardize", "--outdir", str(tmp_path),
+                           "--output", "json", "--no-timing")
+        assert code == 0
+        m, _ = gausscov.standardize(gausscov.load_csv(TINY))
+        want = gausscov.fgr1st(m, gausscov.SelectionConfig()).to_dict()
+        payload = json.loads(out)
+        assert payload["directed"] == want["directed"]
+        assert payload["undirected"] == want["undirected"]
+
     def test_file_mode_json(self, capsys, tmp_path):
         out_dir = tmp_path / "g"
         code, out, _ = run(capsys, "graph", TINY, "--outdir", str(out_dir),
@@ -250,6 +274,13 @@ class TestGraph:
         assert lines[0].split() == ["p", "n", "seed", "edges", "fp", "fn"]
         vals = lines[1].split()
         assert vals[0] == "25" and vals[1] == "120" and vals[2] == "4"
+
+    def test_random_mode_table_has_a_time_column(self, capsys):
+        code, out, _ = run(capsys, "graph", "--random", "25", "120", "--seed", "4")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split() == ["p", "n", "seed", "edges", "fp", "fn", "time"]
+        assert float(lines[1].split()[6]) >= 0.0
 
     def test_random_mode_json(self, capsys):
         code, out, _ = run(capsys, "graph", "--random", "20", "100",
@@ -401,6 +432,19 @@ class TestSimulate:
         _, out, _ = run(capsys, *argv, "--no-intercept", "--max-subset", "3")
         changed = json.loads(out)
         assert changed["intercept"] is False and changed["max_subset_refine"] == 3
+
+    def test_design_file(self, capsys, tmp_path):
+        x = np.random.default_rng(6).standard_normal((40, 30))
+        path = tmp_path / "design.csv"
+        path.write_text("".join(",".join(map(repr, row)) + "\n" for row in x.tolist()))
+        code, out, _ = run(capsys, "simulate", "--design", str(path), "--reps", "2",
+                           "--seed", "5", "--output", "json", "--no-timing")
+        assert code == 0
+        spec = gausscov.SimSpec(n=40, q=30, reps=2, seed=5)
+        want = gausscov.run_sim(spec, design=gausscov.DataMatrix(x))
+        payload = json.loads(out)
+        assert payload["n"] == 40 and payload["q"] == 30
+        assert payload == json.loads(want.to_json(include_timing=False))
 
     def test_unsupported_method(self, capsys):
         code, _, _ = run(capsys, "simulate", "--method", "f2st")

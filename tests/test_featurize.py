@@ -2,6 +2,8 @@
 
 import collections
 import csv
+import hashlib
+import itertools
 import math
 import random
 import tracemalloc
@@ -17,7 +19,6 @@ from gausscov import (
     InteractionSpec,
     MissingValue,
     ParseError,
-    interaction_columns,
     load_csv,
     make_interactions,
     make_lags,
@@ -498,6 +499,10 @@ class TestMakeLags:
             make_lags(np.arange(10.0), [1, 1])
         with pytest.raises(DomainError):
             make_lags(np.arange(10.0), [1], response=1)
+        with pytest.raises(DomainError):
+            make_lags(np.ones((10, 2, 2)), [1])
+        with pytest.raises(DomainError):
+            make_lags(np.ones((10, 2)), [1], names=["a"])
 
 
 class TestMakeTrig:
@@ -564,18 +569,65 @@ class TestInteractions:
         assert np.allclose(col["u*w"], X[:, 0] * X[:, 2])
         assert np.allclose(col["v^2"], X[:, 1] ** 2)
 
-    def test_streaming_blocks_match_materialized(self):
+    @staticmethod
+    def block_builder(m, max_degree, dedup, chunk=4):
+        """The expansion as an earlier builder made it: 256-column blocks of
+        separately formed columns, joined at the end (``chunk`` per block here)."""
+        seen, names, blocks, buf = set(), [], [], []
+        for deg in range(1, max_degree + 1):
+            for combo in itertools.combinations_with_replacement(range(m.q), deg):
+                col = np.array(m.col(combo[0]))
+                for j in combo[1:]:
+                    col *= m.col(j)
+                if dedup:
+                    key = hashlib.blake2b(col.tobytes(), digest_size=16).digest()
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                buf.append(col)
+                powers = [(j, len(list(g))) for j, g in itertools.groupby(combo)]
+                names.append("*".join(m.names[j] + (f"^{e}" if e > 1 else "")
+                                      for j, e in powers))
+                if len(buf) == chunk:
+                    blocks.append(np.column_stack(buf))
+                    buf = []
+        if buf:
+            blocks.append(np.column_stack(buf))
+        return names, np.concatenate(blocks, axis=1)
+
+    def test_matches_block_builder_bitwise(self):
         rng = np.random.default_rng(16)
-        m = DataMatrix(rng.standard_normal((9, 3)))
-        spec = InteractionSpec(max_degree=3, chunk=4)
-        names, blocks = [], []
-        for bn, blk in interaction_columns(m, spec):
-            assert blk.shape[1] <= 4
-            names.extend(bn)
-            blocks.append(blk)
-        whole = make_interactions(m, InteractionSpec(max_degree=3))
-        assert names == whole.names
-        assert np.array_equal(np.concatenate(blocks, axis=1), whole.values)
+        designs = []
+        for n, q in ((9, 3), (14, 4), (7, 5)):
+            x = rng.standard_normal((n, q)) * rng.uniform(0.1, 30, q)
+            designs.append(x)
+            b = x.copy()
+            b[:, 0] = rng.integers(0, 2, n)  # binary: its powers repeat it
+            b[:, -1] = b[:, 1]  # a duplicated column
+            designs.append(b)
+        designs.append(rng.integers(-2, 3, (8, 4)).astype(float))  # repeated products
+        for x in designs:
+            m = DataMatrix(x, names=[f"v{j}" for j in range(x.shape[1])])
+            for degree in range(1, 5):
+                for dedup in (True, False):
+                    out = make_interactions(m, InteractionSpec(max_degree=degree, dedup=dedup))
+                    names, values = self.block_builder(m, degree, dedup)
+                    assert out.names == names
+                    assert out.values.tobytes(order="F") == values.tobytes(order="F")
+                    assert out.values.flags.f_contiguous
+
+    def test_peak_is_about_the_result(self):
+        # one array for the whole expansion: no blocks, no join, no copy
+        m = DataMatrix(np.random.default_rng(17).standard_normal((300, 14)))
+        spec = InteractionSpec(max_degree=4)
+        tracemalloc.start()
+        try:
+            out = make_interactions(m, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.q == monomial_count(14, 4) == 3059
+        assert peak <= 1.3 * out.values.nbytes, peak / out.values.nbytes
 
     def test_dedup_drops_binary_powers(self):
         # for a 0/1 column, x^2 == x bitwise: degree-2 expansion loses it
@@ -589,15 +641,22 @@ class TestInteractions:
         assert "x^2" in raw.names and raw.q == 5
 
     def test_budget_enforced(self):
-        m = DataMatrix(np.random.default_rng(2).standard_normal((5, 10)))
-        with pytest.raises(ColumnBudgetExceeded):
-            list(interaction_columns(m, InteractionSpec(max_degree=4, max_columns=100)))
+        # 1000 monomials of 4000 rows would take 32 MB; none is allocated
+        m = DataMatrix(np.random.default_rng(2).standard_normal((4000, 10)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ColumnBudgetExceeded):
+                make_interactions(m, InteractionSpec(max_degree=4, max_columns=100))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.values.nbytes, peak
 
     def test_spec_validation(self):
         with pytest.raises(DomainError):
             InteractionSpec(max_degree=0)
         with pytest.raises(DomainError):
-            InteractionSpec(chunk=0)
+            InteractionSpec(max_columns=0)
 
 
 class TestSampleCorrelations:

@@ -40,6 +40,8 @@ class TestDataMatrix:
         assert m.names == ["a", "b"]
         with pytest.raises(DomainError):
             DataMatrix(np.ones((3, 2)), names=["onlyone"])
+        with pytest.raises(DomainError):
+            DataMatrix(np.ones((3, 2)), offsets=np.zeros(3))
 
     def test_values_are_read_only(self):
         m = DataMatrix(np.ones((3, 2)))
@@ -58,6 +60,8 @@ class TestDataMatrix:
     def test_rejects_wrong_ndim(self):
         with pytest.raises(DomainError):
             DataMatrix(np.ones(5))
+        with pytest.raises(DomainError):
+            DataMatrix(np.ones((0, 3)))
 
     def test_column_accessor_returns_raw_scale(self):
         m = DataMatrix(np.array([[1.0, 10.0], [2.0, 20.0]]))
@@ -131,6 +135,9 @@ class TestStandardize:
     def test_all_constant_raises(self):
         with pytest.raises(AllColumnsConstant):
             standardize(DataMatrix(np.ones((6, 3))))
+        # one row has no sample sd, constant or not
+        with pytest.raises(DomainError):
+            standardize(DataMatrix(np.arange(3.0).reshape(1, 3)))
 
     def test_unit_sample_sd(self):
         rng = np.random.default_rng(12)
@@ -228,6 +235,12 @@ class TestResidualState:
         extend(st, m, 1)
         with pytest.raises(DomainError):
             extend(st, m, 1)
+        with pytest.raises(DomainError):
+            extend(st, m, 3)
+        with pytest.raises(DomainError):
+            extend(ResidualState(np.arange(9.0)), m, 0)
+        with pytest.raises(DomainError):
+            ResidualState([])
 
     def test_intercept_must_come_first(self):
         m = DataMatrix(np.random.default_rng(0).standard_normal((10, 3)))
@@ -400,6 +413,8 @@ class TestScanBest:
         st = ResidualState(np.arange(10.0))
         with pytest.raises(NoCandidates):
             scan_best(st, m, excluded={0, 1})
+        with pytest.raises(DomainError):
+            scan_best(ResidualState(np.arange(9.0)), m)
 
     def test_selection_score_invariant_to_column_scaling(self):
         rng = np.random.default_rng(321)

@@ -154,6 +154,8 @@ class TestBetaCdfInv:
     def test_edge_probabilities(self):
         assert beta_cdf_inv(3.0, 0.5, 0.0) == 0.0
         assert beta_cdf_inv(3.0, 0.5, 1.0) == 1.0
+        with pytest.raises(DomainError):
+            beta_cdf_inv(1.0, 1.0, 1.5)
 
 
 class TestGaussianPvalue:

@@ -531,6 +531,8 @@ class TestF1st:
             f1st(m, np.full(20, np.nan))
         with pytest.raises(DomainError):
             f1st(m, np.ones(20), exclude=(5,))
+        with pytest.raises(DomainError):
+            f1st(DataMatrix(m.values[:2]), np.arange(2.0))
 
     def test_serialization_uses_one_based_indices(self):
         rng = np.random.default_rng(130)
