@@ -298,7 +298,9 @@ def cmd_featurize(args):
         resp_name = m0.names[r_idx]
         design, y = make_lags(m0.values, lags, response=r_idx, names=m0.names)
     elif args.trig is not None:
-        y, _, resp_name = split_response(m0, resp)
+        # y alone: a trigonometric design reads no other column
+        r_idx = resolve_column(m0, resp)
+        y, resp_name = m0.col(r_idx), m0.names[r_idx]
         design = make_trig(m0.n, args.trig)
     else:
         y, rest, resp_name = split_response(m0, resp)

@@ -30,15 +30,20 @@ without it): the other rows of its first scan's product and each X^T u.
 One rule takes X^T u with no pass over X from a Gram column, the products
 G[j] of column j with every column: u is column j's component orthogonal
 to the basis, whose coefficient on each kept b is (X^T b)[j], so
-X^T (|u| u) = G[j] - sum_b (X^T b)[j] X^T b, in O(qk).  Two sources give
-G[j].  A fit seeded by ``seed_from_gram`` (the regression of one column of
-X on the others, given the q x q Gram matrix G of X) reads every column
-from G and the matrix never: X^T r and the norms start as a column and the
-diagonal of G.  ``fitted_gram`` forms, from a fit's R and kept products,
-the Gram column of every column it took, X^T x_j = sum_i R_ij X^T b_i; a
-state given them by ``use_gram``, and its forks, extend by those columns
-from them and by any other column with a product as before.  The n-row
-basis and residual are built the same way in every case.
+X^T (|u| u) = G[j] - sum_b (X^T b)[j] X^T b, in O(qk).  Three sources
+give G[j].  A fit seeded by ``seed_from_gram`` (the regression of one
+column of X on the others, given the q x q Gram matrix G of X) reads every
+column from G and the matrix never: X^T r and the norms start as a column
+and the diagonal of G.  ``gram_columns`` forms the Gram columns of a few
+chosen columns with one product, X_L^T X, and ``leading`` chooses them
+from a scan's scores: a stepwise run whose states later runs resume from
+takes its first scan's leaders this way, so that it and those runs step
+onto a leader with no pass over X.  ``fitted_gram`` forms, from a fit's R
+and kept products, the Gram column of every column it took,
+X^T x_j = sum_i R_ij X^T b_i, with no pass at all.  A state given Gram
+columns by ``use_gram``, and its forks, extend by those columns from them
+and by any other column with a product as before.  The n-row basis and
+residual are built the same way in every case.
 
 The products only rank candidates.  A batched product may round X^T u in
 the last bits differently from a single one, and the Gram rule differently
@@ -72,6 +77,8 @@ __all__ = [
     "extend_together",
     "fitted_gram",
     "gram",
+    "gram_columns",
+    "leading",
     "scan_best",
     "seed_from_gram",
     "standardize",
@@ -97,8 +104,8 @@ class DataMatrix:
     be reported on the original scale.
     """
 
-    __slots__ = ("values", "n", "q", "names", "offsets", "scales", "_norm2", "_means",
-                 "_centred_norm2")
+    __slots__ = ("values", "n", "q", "names", "offsets", "scales", "_norm2", "_collinear",
+                 "_means", "_centred_norm2")
 
     def __init__(self, values, names=None, offsets=None, scales=None, copy=True):
         arr = np.asarray(values, dtype=np.float64)
@@ -124,7 +131,7 @@ class DataMatrix:
         self.scales = np.ones(self.q) if scales is None else np.asarray(scales, float)
         if self.offsets.shape != (self.q,) or self.scales.shape != (self.q,):
             raise DomainError("offsets/scales must have one entry per column")
-        self._norm2 = None
+        self._norm2 = self._collinear = None
         self._means = self._centred_norm2 = None
 
     def col_norm2(self):
@@ -134,6 +141,18 @@ class DataMatrix:
             norm2.flags.writeable = False
             self._norm2 = norm2
         return self._norm2
+
+    def collinear_norm2(self):
+        """``COLLINEARITY_TOL`` times every column's squared norm, computed on first use.
+
+        A candidate whose squared norm orthogonal to a basis is at most this
+        is collinear with the basis (read-only).
+        """
+        if self._collinear is None:
+            floor = COLLINEARITY_TOL * self.col_norm2()
+            floor.flags.writeable = False
+            self._collinear = floor
+        return self._collinear
 
     def col_means(self):
         """Mean of every column, computed with ``centred_norm2`` on first use (read-only)."""
@@ -439,11 +458,26 @@ def seed_from_gram(state, m, g, j):
     state._resid_norm2 = np.diagonal(g).copy()
 
 
+def gram_columns(m, cols, centred):
+    """Columns ``cols`` of ``gram(m, centred)`` as ``{j: column}``, from one product with X.
+
+    The product is X_c^T X, X_c the columns ``cols`` about their means when
+    ``centred``: column j of the centred Gram matrix is X^T (x_j - mean_j),
+    since a centred column sums to 0.
+    """
+    cols = [int(j) for j in cols]
+    x = m.values[:, cols]
+    if centred:
+        x = x - m.col_means()[cols]
+    return dict(zip(cols, _products(m, x.T)))
+
+
 def fitted_gram(state):
     """The Gram column of every column ``state`` has fitted, from its kept products.
 
-    Returns ``{j: column}`` for the columns in ``state.selected``, on the
-    matrix the state scanned.  The fitted columns are B R, so
+    Returns ``{j: column}`` for the columns in ``state.selected`` that the
+    state has no Gram column for from ``use_gram``, on the matrix the state
+    scanned.  The fitted columns are B R, so
     X^T x_j = sum_i R_ij X^T b_i; summed over the basis vectors whose X^T b
     the state keeps, those after the intercept when it fitted it first, this
     is column j of ``gram(m, centred=True)``, else of ``gram(m,
@@ -455,22 +489,27 @@ def fitted_gram(state):
                           "per column")
     r, _ = state.factor()
     off = state.fit_size - len(state._xtb)
-    cols = r[off:, state.fit_size - len(state.selected):].T @ np.array(state._xtb)
-    return dict(zip(state.selected, cols))
+    have = state._gram if isinstance(state._gram, dict) else {}
+    pos = [i for i, j in enumerate(state.selected) if j not in have]
+    first = state.fit_size - len(state.selected)
+    cols = r[off:, [first + i for i in pos]].T @ np.array(state._xtb)
+    return {state.selected[i]: col for i, col in zip(pos, cols)}
 
 
 def use_gram(state, m, columns):
     """Extend the scanned ``state`` by any column in ``columns`` with no product with X.
 
-    ``columns`` is ``fitted_gram`` of a state that scanned ``m``, as ``state``
-    has, and is shared, not copied.  Each later extension by one of those
-    columns takes X^T u from it and the kept X^T b as in Gram mode; an
-    extension by any other column takes it from a product with X.
+    ``columns`` is ``{j: column}`` of Gram columns of ``m``, centred when the
+    state fitted the intercept first: ``fitted_gram`` of a state that
+    scanned ``m``, as ``state`` has, or ``gram_columns``.  They are added
+    to any the state has, and shared, not copied.  Each later extension by
+    one of those columns takes X^T u from it and the kept X^T b as in Gram
+    mode; an extension by any other column takes it from a product with X.
     Forks of ``state`` keep the columns.
     """
-    if state._cache_for is not m or state._gram is not None:
+    if state._cache_for is not m or isinstance(state._gram, np.ndarray):
         raise DomainError("fitted Gram columns need a state scanned on their matrix in data mode")
-    state._gram = columns
+    state._gram = {**state._gram, **columns} if state._gram else columns
 
 
 def _ensure_scan_cache(state, m):
@@ -502,6 +541,42 @@ def _ensure_scan_cache(state, m):
     state._xtb = list(prod[1:])
 
 
+def _scores(state, m, excluded):
+    """Each column's rss reduction as the next regressor, -inf where it is not a candidate."""
+    if m.n != state.n:
+        raise DomainError("matrix row count does not match the state")
+    _ensure_scan_cache(state, m)
+    cor = state._xtr
+    denom = state._resid_norm2
+    # (cor / denom) * cor, not cor^2 / denom: a score is at most the rss, so
+    # it stays finite wherever the rss is, while cor^2 can overflow; the
+    # entries of collinear columns, which may divide by 0, are then dropped
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        score = cor / denom
+        score *= cor
+    score[~(denom > m.collinear_norm2())] = -np.inf
+    if isinstance(excluded, np.ndarray) and excluded.dtype == bool:
+        score[excluded] = -np.inf
+    else:
+        excl = list(excluded)
+        if excl:
+            score[excl] = -np.inf
+    if state.selected:
+        score[state.selected] = -np.inf
+    return score
+
+
+def leading(state, m, excluded, above, limit):
+    """The candidates of ``scan_best(state, m, excluded)`` scoring above ``above``.
+
+    Returns at most ``limit`` column indices, best score first, and of
+    scores equal bit for bit the smaller index first.
+    """
+    score = _scores(state, m, excluded)
+    lead = np.flatnonzero(score > above)
+    return lead[np.argsort(-score[lead], kind="stable")[:limit]].tolist()
+
+
 def scan_best(state, m, excluded=()):
     """Best next column: the admissible candidate giving the largest rss reduction.
 
@@ -523,25 +598,7 @@ def scan_best(state, m, excluded=()):
     ``excluded`` may be an iterable of column indices or a boolean mask of
     length q.
     """
-    if m.n != state.n:
-        raise DomainError("matrix row count does not match the state")
-    _ensure_scan_cache(state, m)
-    cor = state._xtr
-    denom = state._resid_norm2
-    admissible = denom > COLLINEARITY_TOL * m.col_norm2()
-    # (cor / denom) * cor, not cor^2 / denom: a score is at most the rss, so
-    # it stays finite wherever the rss is, while cor^2 can overflow
-    score = np.full(m.q, -np.inf)
-    np.divide(cor, denom, out=score, where=admissible)
-    np.multiply(score, cor, out=score, where=admissible)
-    if isinstance(excluded, np.ndarray) and excluded.dtype == bool:
-        score[excluded] = -np.inf
-    else:
-        excl = list(excluded)
-        if excl:
-            score[excl] = -np.inf
-    if state.selected:
-        score[state.selected] = -np.inf
+    score = _scores(state, m, excluded)
     while True:
         j = int(np.argmax(score))
         if not math.isfinite(score[j]):

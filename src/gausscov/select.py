@@ -27,8 +27,8 @@ from scipy.linalg import solve_triangular
 from . import pvalues
 from .errors import CollinearColumn, DomainError, NoCandidates, TooManyColumns
 from .matrix import (COLLINEARITY_TOL, ResidualState, _record_in_span, extend,
-                     extend_intercept, extend_together, fitted_gram, scan_best,
-                     seed_from_gram, use_gram)
+                     extend_intercept, extend_together, fitted_gram, gram_columns, leading,
+                     scan_best, seed_from_gram, use_gram)
 
 __all__ = [
     "ApproximationSet",
@@ -631,6 +631,10 @@ def _advance(m, cfg, runs, kept=0):
     together (``extend_together``): each gets its own extension on the n
     rows, and takes its X^T u from the column's Gram column when it has one,
     while the others in data mode share one product with X for theirs.
+    A run that records its states for others to resume from gets, after its
+    first scan and before it keeps its start state, the Gram columns of
+    that scan's leaders from one product with X (``_prefetch_leaders``); it
+    and every run resumed from its states step onto a leader with no pass.
     These X^T u only rank the candidates of later scans; every rss a run
     reports, and the R and c its fit keeps, come from the n rows.
     """
@@ -665,6 +669,7 @@ def _advance(m, cfg, runs, kept=0):
                 else:
                     if run.record and not run.steps:
                         # the start of every run that resumes from this one
+                        _prefetch_leaders(m, cfg, run, ctx)
                         run.steps.append(state.fork())
                     grow.append(run)
                     cols.append(j)
@@ -680,6 +685,24 @@ def _advance(m, cfg, runs, kept=0):
             live = going
         fits += [_Fit(run.state, run.state.selected, run.q_pool, run.trace) for run in group]
     return fits
+
+
+def _prefetch_leaders(m, cfg, run, ctx):
+    """Give the scanned start state of a recording run the Gram columns of its leaders.
+
+    The leaders are the candidates that would pass the first step's test
+    alone, score > rss (1 - x), x the largest passing rss ratio (as
+    ``_passing_subsets`` tests it), at most as many as ``_LOCKSTEP_CELLS``
+    holds columns of.  Their Gram columns come from one product with X
+    (``gram_columns``), and the run and the runs that resume from its states
+    then extend by a leader with no pass over X.
+    """
+    state = run.state
+    x_thr = pvalues.beta_cdf_inv((ctx.n - ctx.k) / 2.0, 0.5,
+                                 pvalues.pf_threshold(cfg.p0, ctx.q_remaining))
+    lead = leading(state, m, run.excl, state.rss * (1.0 - x_thr), _LOCKSTEP_CELLS // m.q)
+    if lead:
+        use_gram(state, m, gram_columns(m, lead, centred=cfg.intercept))
 
 
 def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False):
@@ -718,7 +741,8 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
     _steps : list, optional
         An empty list the run records its states into, the start state
         first and then one per step (``_Run``), for ``f3st``'s branches to
-        resume from.
+        resume from.  Its start state holds the Gram columns of the first
+        scan's leaders, from one product with X (``_advance``).
 
     Returns
     -------
@@ -837,22 +861,26 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     excludes.  It retakes their steps without reading the matrix and only
     recomputes their P-values for its smaller competitor pool.
 
-    The root's states keep the product X^T b of each of their basis vectors,
-    so after the root the Gram column of each column it took is
+    The root records its states, so after its first scan it forms, with one
+    product with X, the Gram columns of the leaders of that scan, the
+    candidates that would pass its first step alone (``_advance``), and
+    steps onto a leader with no further pass.  The root's states keep the
+    product X^T b of each of their basis vectors, so after the root the
+    Gram column of each column it took off that list is
     X^T x_j = sum_i R_ij X^T b_i (``fitted_gram``), formed with no pass over
-    X and held only for this call.  Every branch starts from the root's
-    states with those columns (``use_gram``).  The branches of one depth run
+    X.  Both are held only for this call, and every branch starts from the
+    root's states with them (``use_gram``).  The branches of one depth run
     in lockstep (``_advance``), in groups bounded by a cell budget that
-    counts, for each branch, as many products of its own as the root took:
-    in each round, every branch that takes a new column is extended at once.
-    A branch that takes one of the root's columns takes its X^T u from that
-    column's Gram column in O(qk), as a Gram-mode fit of ``fgr1st`` does;
-    the others share one product with X for theirs.  The fits are then
-    refined in one call, and merged in the order a branch-by-branch run
-    would give.  These X^T u only rank candidates, and every reported rss,
-    P-value and coefficient comes from the n rows, so the output is that of
-    running every branch from scratch with ``f1st``, except where two
-    candidates' scores tie to within rounding.
+    counts, for each branch, as many products of its own as the root took
+    steps: in each round, every branch that takes a new column is extended
+    at once.  A branch that takes a leader or one of the root's columns
+    takes its X^T u from that column's Gram column in O(qk), as a Gram-mode
+    fit of ``fgr1st`` does; the others share one product with X for theirs.
+    The fits are then refined in one call, and merged in the order a
+    branch-by-branch run would give.  These X^T u only rank candidates, and
+    every reported rss, P-value and coefficient comes from the n rows, so
+    the output is that of running every branch from scratch with ``f1st``,
+    except where two candidates' scores tie to within rounding.
     """
     if cfg is None:
         cfg = SelectionConfig()
@@ -887,7 +915,7 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
                 branches.append((bex, steps[:cols.index(i) + 1] if i in cols else steps[:]))
         runs = (_Run(m, bsteps[0].fork(), bex, bsteps, keep) for bex, bsteps in branches)
         nxt = []
-        fits = _advance(m, cfg, runs, len(gram))
+        fits = _advance(m, cfg, runs, len(root_steps) - 1)
         for (bex, bsteps), r2 in zip(branches, _refine(m, fits, cfg)):
             if not r2.selected:
                 continue

@@ -9,6 +9,7 @@ import io
 import json
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -381,6 +382,28 @@ class TestFeaturize:
         lines = out_csv.read_text().splitlines()
         assert lines[0] == "y,cos1,sin1,cos2,sin2"
         assert len(lines) == 41
+
+    def test_trig_design_reads_only_the_response(self, capsys, tmp_path, monkeypatch):
+        # the loaded matrix is handed over ready-made, so the traced peak is
+        # the command's own: the response and a two-column design, with no
+        # copy of the other columns
+        rng = np.random.default_rng(8)
+        m = gausscov.DataMatrix(rng.standard_normal((200, 2000)),
+                                names=[f"v{j}" for j in range(2000)])
+        monkeypatch.setattr(gausscov.cli, "load_csv", lambda *args, **kwargs: m)
+        out_csv = tmp_path / "trig.csv"
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "featurize", "in.csv", "--trig", "1",
+                             "--response-var", "v7", "--out", str(out_csv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 0.1 * m.values.nbytes, peak
+        rows = list(csv.reader(out_csv.read_text().splitlines()))
+        assert rows[0] == ["v7", "cos1", "sin1"]
+        assert [float(r[0]) for r in rows[1:]] == m.values[:, 7].tolist()
 
     def test_corr_pairs_to_stdout(self, capsys):
         code, out, _ = run(capsys, "featurize", TINY, "--corr-pairs", "4",

@@ -1,5 +1,7 @@
 """Tests for the design-matrix wrapper, orthogonalization state, and scans."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,14 @@ class TestDataMatrix:
         bad[2, 1] = np.inf
         with pytest.raises(DomainError):
             DataMatrix(bad)
+
+    def test_collinear_norm2_is_cached(self):
+        m = DataMatrix(np.arange(12.0).reshape(4, 3))
+        floor = m.collinear_norm2()
+        assert floor.tobytes() == (matrix.COLLINEARITY_TOL * m.col_norm2()).tobytes()
+        assert m.collinear_norm2() is floor
+        with pytest.raises(ValueError):
+            floor[0] = 0.0
 
     def test_rejects_wrong_ndim(self):
         with pytest.raises(DomainError):
@@ -396,6 +406,38 @@ class TestScanBest:
             extend_intercept(st)
             picks.add(scan_best(st, m, excluded={0})[0])
         assert len(picks) == 1 and picks <= {1, 2}
+
+    def test_zero_collinear_and_excluded_columns_are_never_scored(self):
+        # column 2 is all zeros, column 5 is constant and so collinear with
+        # the intercept, both with a norm of exactly 0 orthogonal to the
+        # basis, and column 6, which y follows most closely, is excluded: no
+        # warning escapes, those entries score -inf, and every other score
+        # is (X^T r / norm) * X^T r bit for bit
+        rng = np.random.default_rng(46)
+        X = rng.standard_normal((30, 8))
+        X[:, 2] = 0.0
+        X[:, 5] = 3.0
+        y = 3.0 * X[:, 6] + 2.0 * X[:, 1] + X[:, 4] + 0.1 * rng.standard_normal(30)
+        m = DataMatrix(X)
+        st = extend_intercept(ResidualState(y))
+        fitted, taken = [np.ones(30)], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for step in range(4):
+                score = matrix._scores(st, m, {6})
+                cor, denom = st._xtr, st._resid_norm2
+                out = [2, 5, 6] + taken
+                assert np.isneginf(score[out]).all()
+                ok = np.setdiff1d(np.arange(8), out)
+                assert score[ok].tobytes() == ((cor[ok] / denom[ok]) * cor[ok]).tobytes()
+                j, rss_after = scan_best(st, m, excluded={6})
+                want_rss, want_j = self.brute_best(X, y, fitted, set(out))
+                assert j == want_j and j not in out
+                assert rss_after == pytest.approx(want_rss, rel=1e-8)
+                extend(st, m, j)
+                fitted.append(X[:, j])
+                taken.append(j)
+        assert taken[:2] == [1, 4]
 
     def test_excluded_mask_variant(self):
         rng = np.random.default_rng(45)

@@ -1306,6 +1306,20 @@ def products(monkeypatch):
 
 
 @pytest.fixture
+def leaders(monkeypatch):
+    """The columns of every leader Gram product a stepwise run makes, in order."""
+    calls = []
+    columns = select.gram_columns
+
+    def recording(m, cols, centred):
+        calls.append(list(cols))
+        return columns(m, cols, centred)
+
+    monkeypatch.setattr(select, "gram_columns", recording)
+    return calls
+
+
+@pytest.fixture
 def advances(monkeypatch, products):
     """For each ``_advance`` call in order (the root's, then each depth's):
     the columns of each of its extension rounds, and the row counts of its
@@ -1370,40 +1384,55 @@ class TestF3stLockstep:
         assert max(n for n, _ in sizes) >= 3
         assert max(f for _, f in sizes) >= 2
 
-    def test_one_product_per_round(self, advances):
-        # the root makes one product for its first scan and one per step;
-        # each depth then makes one per round in which any branch takes a
-        # column the root did not take, however many do, and none for the
-        # root's columns
+    def test_one_product_per_round(self, advances, leaders):
+        # the root makes one product for its first scan, one with the Gram
+        # columns of its leaders and one per step onto a column off that
+        # list; each depth then makes one per round in which any branch
+        # takes a column that is neither a leader nor one the root took,
+        # however many do, and none for the others
         m, y = TestF3stPrefixReuse().wide()
         got = f3st(m, y, SelectionConfig(m=2))
         root = got.results[got.provenance.index("root")]
         taken = [t.index for t in root.trace]
+        lead, = leaders
+        off = [j for j in taken if j not in lead]
+        known = set(lead) | set(taken)
         (root_rounds, root_rows), *depths = advances
         assert root_rounds == [[j] for j in taken]
-        assert root_rows == [1] * (1 + len(taken))
+        assert root_rows == [1, len(lead)] + [1] * len(off)
+        assert lead and off
         for rounds, rows in depths:
-            new = [[j for j in cols if j not in taken] for cols in rounds]
+            new = [[j for j in cols if j not in known] for cols in rounds]
             assert rows == [len(cols) for cols in new if cols]
         products = sum(len(rows) for _, rows in advances)
         depth_rounds = [cols for rounds, _ in depths for cols in rounds]
-        assert products == 1 + len(taken) + sum(any(j not in taken for j in cols)
-                                                for cols in depth_rounds)
-        assert products < 1 + len(taken) + len(depth_rounds)
+        assert products == 2 + len(off) + sum(any(j not in known for j in cols)
+                                              for cols in depth_rounds)
+        assert products < 2 + len(off) + len(depth_rounds)
         assert max(map(len, depth_rounds)) > 1
 
-    def test_f1st_makes_one_product_per_step(self, products):
-        # a lone f1st keeps each X^T u it computes, and makes no more
-        # products for it: its first scan, then one single row per step
+    def test_f1st_makes_one_product_per_step(self, products, leaders):
+        # a recording f1st makes its first scan's product, then one with
+        # its leaders' Gram columns, then one single row per step onto a
+        # column off that list, and keeps each X^T u; a lone f1st makes its
+        # first scan's product and then one single row per step
         for make in (TestF3stPrefixReuse().wide, lambda: four_signals(0)):
             m, y = make()
             for intercept in (True, False):
                 products.clear()
+                leaders.clear()
                 steps = []
                 got = f1st(m, y, SelectionConfig(intercept=intercept), _steps=steps)
                 assert got.trace
-                assert products == [1] * (1 + len(got.trace))
+                lead, = leaders
+                off = [t.index for t in got.trace if t.index not in lead]
+                assert products == [1, len(lead)] + [1] * len(off)
                 assert len(steps[-1]._xtb) == len(got.trace)
+                products.clear()
+                alone = f1st(m, y, SelectionConfig(intercept=intercept))
+                assert products == [1] * (1 + len(alone.trace))
+                assert len(leaders) == 1
+                assert json.dumps(alone.to_dict()) == json.dumps(got.to_dict())
 
     def test_many_runs_stay_within_the_cell_budget(self, monkeypatch):
         # sixteen forced root steps, so depth 1 has sixteen branches, each
@@ -1436,6 +1465,71 @@ class TestF3stLockstep:
         bound = 2 * cells + len(root.trace) * m.q + 2 * m.q
         assert f3st_peak - root_peak < 8 * bound, (f3st_peak - root_peak, 8 * bound)
         assert len(got) > 2
+
+
+class TestLeaderGram:
+    """A recording stepwise run takes a leader's X^T u from one product's Gram columns."""
+
+    def design(self, signals=5, seed=63):
+        # columns with means about 3 sd, so the intercept's share of each
+        # Gram column matters
+        rng = np.random.default_rng(seed)
+        n, q = 300, 200
+        X = rng.standard_normal((n, q)) + 3.0 * rng.standard_normal(q)
+        y = (X[:, 10:10 + signals] - X[:, 10:10 + signals].mean(axis=0)).sum(axis=1)
+        return DataMatrix(X), 2.0 * y + rng.standard_normal(n)
+
+    def recorded(self, m, y, cfg):
+        steps = []
+        got = f1st(m, y, cfg, _steps=steps)
+        assert json.dumps(got.to_dict()) == json.dumps(f1st(m, y, cfg).to_dict())
+        return got, steps
+
+    @pytest.mark.parametrize("intercept", [True, False])
+    def test_columns_are_those_of_the_gram_matrix(self, intercept, leaders):
+        m, y = self.design()
+        _, steps = self.recorded(m, y, SelectionConfig(intercept=intercept))
+        lead, = leaders
+        cols = steps[0]._gram
+        assert list(cols) == lead and len(lead) >= 2
+        g = gram(m, centred=intercept)
+        for j, col in cols.items():
+            assert np.abs(col - g[j]).max() <= 1e-12 * np.abs(g[j]).max()
+        # every state the run kept shares them
+        assert all(state._gram is cols for state in steps)
+
+    def test_no_leader_product_when_no_candidate_passes_alone(self, products, leaders):
+        rng = np.random.default_rng(65)
+        m = DataMatrix(rng.standard_normal((60, 300)))
+        got, steps = self.recorded(m, rng.standard_normal(60), SelectionConfig(kmn=3))
+        assert [t.forced for t in got.trace] == [True] * 3
+        assert leaders == []
+        assert products[:4] == [1, 1, 1, 1]
+        assert all(state._gram is None for state in steps)
+
+    def test_forced_steps_off_the_list_take_one_product_each(self, products, leaders):
+        m, y = self.design(signals=2)
+        got, _ = self.recorded(m, y, SelectionConfig(kmn=6))
+        lead, = leaders
+        off = [t for t in got.trace if t.index not in lead]
+        assert len(off) >= 3 and all(t.forced for t in off)
+        # the recording run's products, then the lone run's
+        assert products[:2 + len(off)] == [1, len(lead)] + [1] * len(off)
+        assert products[2 + len(off):] == [1] * (1 + len(got.trace))
+
+    def test_leaders_bounded_by_the_cell_budget(self, monkeypatch, products, leaders):
+        m, y = self.design()
+        cfg = SelectionConfig()
+        self.recorded(m, y, cfg)
+        top = leaders[0]
+        assert len(top) > 2
+        monkeypatch.setattr(select, "_LOCKSTEP_CELLS", 2 * m.q + m.q // 2)
+        leaders.clear()
+        products.clear()
+        got, _ = self.recorded(m, y, cfg)
+        assert leaders == [top[:2]]
+        off = [t.index for t in got.trace if t.index not in top[:2]]
+        assert products[:2 + len(off)] == [1, 2] + [1] * len(off)
 
 
 class TestDeterminism:
