@@ -388,8 +388,8 @@ class TestFeaturize:
         # the command's own: the response and a two-column design, with no
         # copy of the other columns
         rng = np.random.default_rng(8)
-        m = gausscov.DataMatrix(rng.standard_normal((200, 2000)),
-                                names=[f"v{j}" for j in range(2000)])
+        m = gausscov.DataMatrix(rng.standard_normal((200, 8000)),
+                                names=[f"v{j}" for j in range(8000)])
         monkeypatch.setattr(gausscov.cli, "load_csv", lambda *args, **kwargs: m)
         out_csv = tmp_path / "trig.csv"
         tracemalloc.start()
