@@ -292,18 +292,17 @@ def cmd_featurize(args):
     if args.out is None:
         raise DomainError("featurize needs --out for design construction")
     resp = args.response_var if args.response_var is not None else _default_response(m0)
+    r_idx = resolve_column(m0, resp)
+    resp_name = m0.names[r_idx]
     if args.lags is not None:
         lags = _parse_lags(args.lags)
-        r_idx = resolve_column(m0, resp)
-        resp_name = m0.names[r_idx]
         design, y = make_lags(m0.values, lags, response=r_idx, names=m0.names)
     elif args.trig is not None:
         # y alone: a trigonometric design reads no other column
-        r_idx = resolve_column(m0, resp)
-        y, resp_name = m0.col(r_idx), m0.names[r_idx]
+        y = m0.col(r_idx)
         design = make_trig(m0.n, args.trig)
     else:
-        y, rest, resp_name = split_response(m0, resp)
+        y, rest, _ = split_response(m0, resp)
         spec = InteractionSpec(max_degree=args.interactions, dedup=not args.no_dedup)
         design = make_interactions(rest, spec)
     name_map = _write_design_csv(args.out, resp_name, y, design)

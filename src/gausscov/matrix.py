@@ -462,22 +462,25 @@ def gram_columns(m, cols, centred):
     """Columns ``cols`` of ``gram(m, centred)`` as ``{j: column}``, from one product with X.
 
     The product is X_c^T X, X_c the columns ``cols`` about their means when
-    ``centred``: column j of the centred Gram matrix is X^T (x_j - mean_j),
-    since a centred column sums to 0.
+    ``centred``: column j of the centred Gram matrix is
+    X^T (x_j - mean_j) - (1^T (x_j - mean_j)) means.  The second term is 0
+    but for the rounding of mean_j, which large means would amplify.
     """
     cols = [int(j) for j in cols]
     x = m.values[:, cols]
-    if centred:
-        x = x - m.col_means()[cols]
-    return dict(zip(cols, _products(m, x.T)))
+    if not centred:
+        return dict(zip(cols, _products(m, x.T)))
+    x = x - m.col_means()[cols]
+    prod = _products(m, x.T)
+    prod -= np.outer(x.sum(axis=0), m.col_means())
+    return dict(zip(cols, prod))
 
 
 def fitted_gram(state):
     """The Gram column of every column ``state`` has fitted, from its kept products.
 
-    Returns ``{j: column}`` for the columns in ``state.selected`` that the
-    state has no Gram column for from ``use_gram``, on the matrix the state
-    scanned.  The fitted columns are B R, so
+    Returns ``{j: column}`` for the columns in ``state.selected``, on the
+    matrix the state scanned.  The fitted columns are B R, so
     X^T x_j = sum_i R_ij X^T b_i; summed over the basis vectors whose X^T b
     the state keeps, those after the intercept when it fitted it first, this
     is column j of ``gram(m, centred=True)``, else of ``gram(m,
@@ -489,11 +492,8 @@ def fitted_gram(state):
                           "per column")
     r, _ = state.factor()
     off = state.fit_size - len(state._xtb)
-    have = state._gram if isinstance(state._gram, dict) else {}
-    pos = [i for i, j in enumerate(state.selected) if j not in have]
-    first = state.fit_size - len(state.selected)
-    cols = r[off:, [first + i for i in pos]].T @ np.array(state._xtb)
-    return {state.selected[i]: col for i, col in zip(pos, cols)}
+    cols = r[off:, state.fit_size - len(state.selected):].T @ np.array(state._xtb)
+    return dict(zip(state.selected, cols))
 
 
 def use_gram(state, m, columns):
@@ -502,14 +502,15 @@ def use_gram(state, m, columns):
     ``columns`` is ``{j: column}`` of Gram columns of ``m``, centred when the
     state fitted the intercept first: ``fitted_gram`` of a state that
     scanned ``m``, as ``state`` has, or ``gram_columns``.  They are added
-    to any the state has, and shared, not copied.  Each later extension by
-    one of those columns takes X^T u from it and the kept X^T b as in Gram
-    mode; an extension by any other column takes it from a product with X.
-    Forks of ``state`` keep the columns.
+    to any the state has, which keep their own for the same column, and
+    shared, not copied.  Each later extension by one of those columns takes
+    X^T u from it and the kept X^T b as in Gram mode; an extension by any
+    other column takes it from a product with X.  Forks of ``state`` keep
+    the columns.
     """
     if state._cache_for is not m or isinstance(state._gram, np.ndarray):
         raise DomainError("fitted Gram columns need a state scanned on their matrix in data mode")
-    state._gram = {**state._gram, **columns} if state._gram else columns
+    state._gram = {**columns, **state._gram} if state._gram else columns
 
 
 def _ensure_scan_cache(state, m):
@@ -566,15 +567,16 @@ def _scores(state, m, excluded):
     return score
 
 
-def leading(state, m, excluded, above, limit):
+def leading(state, m, excluded, above):
     """The candidates of ``scan_best(state, m, excluded)`` scoring above ``above``.
 
-    Returns at most ``limit`` column indices, best score first, and of
+    Returns their column indices and their scores, best score first, and of
     scores equal bit for bit the smaller index first.
     """
     score = _scores(state, m, excluded)
     lead = np.flatnonzero(score > above)
-    return lead[np.argsort(-score[lead], kind="stable")[:limit]].tolist()
+    lead = lead[np.argsort(-score[lead], kind="stable")]
+    return lead, score[lead]
 
 
 def scan_best(state, m, excluded=()):

@@ -692,16 +692,25 @@ def _prefetch_leaders(m, cfg, run, ctx):
 
     The leaders are the candidates that would pass the first step's test
     alone, score > rss (1 - x), x the largest passing rss ratio (as
-    ``_passing_subsets`` tests it), at most as many as ``_LOCKSTEP_CELLS``
-    holds columns of.  Their Gram columns come from one product with X
-    (``gram_columns``), and the run and the runs that resume from its states
-    then extend by a leader with no pass over X.
+    ``_passing_subsets`` tests it), best first.  Those the run could step
+    onto in turn, were each to keep its score, are the steps the list can
+    save it: they stop at the first leader whose score is not below the rss
+    left or fails the test on it.  Correlated leaders lose their scores to
+    the first one taken, and then the list is long but those steps few.
+    The run keeps twice as many leaders as such steps, one more for each
+    branch that excludes one of them, and at most as many as
+    ``_LOCKSTEP_CELLS`` holds columns of.  Their Gram columns come from one
+    product with X (``gram_columns``), and the run and the runs that resume
+    from its states then extend by a leader with no pass over X.
     """
     state = run.state
     x_thr = pvalues.beta_cdf_inv((ctx.n - ctx.k) / 2.0, 0.5,
                                  pvalues.pf_threshold(cfg.p0, ctx.q_remaining))
-    lead = leading(state, m, run.excl, state.rss * (1.0 - x_thr), _LOCKSTEP_CELLS // m.q)
-    if lead:
+    lead, score = leading(state, m, run.excl, state.rss * (1.0 - x_thr))
+    left = state.rss - (np.cumsum(score) - score)
+    steps = int(np.cumprod((score < left) & (score > left * (1.0 - x_thr))).sum())
+    lead = lead[:min(2 * steps, _LOCKSTEP_CELLS // m.q)]
+    if len(lead):
         use_gram(state, m, gram_columns(m, lead, centred=cfg.intercept))
 
 
@@ -863,16 +872,17 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
 
     The root records its states, so after its first scan it forms, with one
     product with X, the Gram columns of the leaders of that scan, the
-    candidates that would pass its first step alone (``_advance``), and
-    steps onto a leader with no further pass.  The root's states keep the
-    product X^T b of each of their basis vectors, so after the root the
-    Gram column of each column it took off that list is
+    candidates that would pass its first step alone, as many as it could
+    use (``_prefetch_leaders``), and steps onto a leader with no further
+    pass.  The root's states keep the product X^T b of each of their basis
+    vectors, so after the root the Gram column of each column it took is
     X^T x_j = sum_i R_ij X^T b_i (``fitted_gram``), formed with no pass over
-    X.  Both are held only for this call, and every branch starts from the
-    root's states with them (``use_gram``).  The branches of one depth run
-    in lockstep (``_advance``), in groups bounded by a cell budget that
-    counts, for each branch, as many products of its own as the root took
-    steps: in each round, every branch that takes a new column is extended
+    X; a leader keeps the column it has.  Both are held only for this call,
+    and every branch starts from the root's states with them
+    (``use_gram``).  The branches of one depth run in lockstep
+    (``_advance``), in groups bounded by a cell budget that counts, for
+    each branch, as many products of its own as the root took steps: in
+    each round, every branch that takes a new column is extended
     at once.  A branch that takes a leader or one of the root's columns
     takes its X^T u from that column's Gram column in O(qk), as a Gram-mode
     fit of ``fgr1st`` does; the others share one product with X for theirs.
@@ -915,7 +925,7 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
                 branches.append((bex, steps[:cols.index(i) + 1] if i in cols else steps[:]))
         runs = (_Run(m, bsteps[0].fork(), bex, bsteps, keep) for bex, bsteps in branches)
         nxt = []
-        fits = _advance(m, cfg, runs, len(root_steps) - 1)
+        fits = _advance(m, cfg, runs, len(gram))
         for (bex, bsteps), r2 in zip(branches, _refine(m, fits, cfg)):
             if not r2.selected:
                 continue
