@@ -259,7 +259,10 @@ class ResidualState:
         self.n = y.size
         self.selected = []
         self.residual = y.copy()
-        self.rss = float(y @ y)
+        with np.errstate(over="ignore"):
+            self.rss = float(y @ y)
+        if not math.isfinite(self.rss):
+            raise DomainError("response's sum of squares overflows")
         self.basis = []
         self._r = self._c = ()
         # (m, j, step): the extension by column j of m that the last scan

@@ -595,27 +595,24 @@ def _refine(m, fits, cfg):
 class _Run:
     """One stepwise pass on a matrix, as ``_advance`` moves it a step a round.
 
-    ``steps``, when given and not empty, holds the states of the run this one
-    resumes from: ``steps[t]`` is the state after its step t, and this run
-    starts from a fork of ``steps[0]``.  Those steps are retaken unscanned,
-    their rss the one extend took from the scan, and only their P-values are
-    recomputed for this run's pool.  With ``record``, every state this run
-    extends to is appended to ``steps``, after the start state when ``steps``
-    is empty, for the runs that will resume from it.
+    It starts from ``state``, with ``trace`` the steps that led there, and
+    stops once its rss is at most ``floor``.  Given a list ``steps``, it
+    appends every state it extends to, for the runs that will start from
+    them, so that ``steps[t]`` is the state after its step t: a list given
+    empty first gets the run's start state, once its first scan finds a
+    step to take, and any other must end with the state it starts from.
     """
 
-    __slots__ = ("state", "excl", "q_pool", "steps", "retake", "record", "floor", "trace")
+    __slots__ = ("state", "excl", "q_pool", "steps", "floor", "trace")
 
-    def __init__(self, m, state, excl, steps=None, record=True):
+    def __init__(self, m, state, excl, floor, trace=(), steps=None):
         self.state = state
         self.excl = np.zeros(m.q, dtype=bool)
         self.excl[list(excl)] = True
         self.q_pool = m.q - len(excl)
         self.steps = steps
-        self.retake = len(steps) - 1 if steps else 0
-        self.record = steps is not None and record
-        self.floor = state.rss * _PERFECT_FIT_REL
-        self.trace = []
+        self.floor = floor
+        self.trace = list(trace)
 
 
 def _advance(m, cfg, runs, kept=0):
@@ -625,18 +622,18 @@ def _advance(m, cfg, runs, kept=0):
     ``_LOCKSTEP_CELLS`` when each keeps ``kept`` products of its own, and
     each group is advanced in lockstep until every run in it stops.  In
     each round, every live run takes its next step as ``f1st`` describes:
-    it stops at a break, or it retakes its next step, or it scans for the
-    best candidate (``scan_best``), and it stops unless that candidate passes
-    or is forced.  The runs that take a new column are then extended
-    together (``extend_together``): each gets its own extension on the n
-    rows, and takes its X^T u from the column's Gram column when it has one,
-    while the others in data mode share one product with X for theirs.
-    A run that records its states for others to resume from gets, after its
-    first scan and before it keeps its start state, the Gram columns of
-    that scan's leaders from one product with X (``_prefetch_leaders``); it
-    and every run resumed from its states step onto a leader with no pass.
-    These X^T u only rank the candidates of later scans; every rss a run
-    reports, and the R and c its fit keeps, come from the n rows.
+    it stops at a break, or it scans for the best candidate
+    (``scan_best``) and stops unless that candidate passes or is forced.
+    The runs that go on are then extended together (``extend_together``):
+    each gets its own extension on the n rows, and takes its X^T u from the
+    column's Gram column when it has one, while the others in data mode
+    share one product with X for theirs.  A run given an empty list to
+    record its states into gets, after its first scan and before it keeps
+    its start state, the Gram columns of that scan's leaders from one
+    product with X (``_prefetch_leaders``); it and every run started from
+    its states step onto a leader with no pass.  These X^T u only rank the
+    candidates of later scans; every rss a run reports, and the R and c its
+    fit keeps, come from the n rows.
     """
     runs = iter(runs)
     size = max(1, _LOCKSTEP_CELLS // ((3 + kept) * m.q))
@@ -644,43 +641,35 @@ def _advance(m, cfg, runs, kept=0):
     while group := list(itertools.islice(runs, size)):
         live = group
         while live:
-            going, grow, cols = [], [], []
+            going, cols = [], []
             for run in live:
                 state = run.state
                 k_sel = len(state.selected)
                 fit_new = state.fit_size + 1
                 if k_sel >= run.q_pool or m.n - fit_new < 2 or state.rss <= run.floor:
                     continue
-                if k_sel < run.retake:
-                    after = run.steps[k_sel + 1]
-                    j, rss_cand = after.selected[-1], after.rss
-                else:
-                    try:
-                        j, rss_cand = scan_best(state, m, run.excl)
-                    except NoCandidates:
-                        continue
+                try:
+                    j, rss_cand = scan_best(state, m, run.excl)
+                except NoCandidates:
+                    continue
                 ctx = pvalues.PvalueContext(m.n, fit_new, run.q_pool - k_sel)
                 p_f = pvalues.pf_from_rss_ratio(ctx, rss_cand, state.rss)
                 p_g = pvalues.pg_stepwise(ctx, p_f)
                 if k_sel >= cfg.kmn and p_g >= cfg.p0:
                     continue
-                if k_sel < run.retake:
-                    run.state = after.fork()
-                else:
-                    if run.record and not run.steps:
-                        # the start of every run that resumes from this one
-                        _prefetch_leaders(m, cfg, run, ctx)
-                        run.steps.append(state.fork())
-                    grow.append(run)
-                    cols.append(j)
-                # the rss after a new column is the one its scan took, which
-                # the extension keeps
+                if run.steps == []:
+                    # its start state, kept for the runs that start from its states
+                    _prefetch_leaders(m, cfg, run, ctx)
+                    run.steps.append(state.fork())
+                # the rss after the column is the one its scan took, which the
+                # extension keeps
                 run.trace.append(TraceStep(j, p_f, p_g, rss_cand, forced=p_g >= cfg.p0))
                 going.append(run)
-            if grow:
-                extend_together([run.state for run in grow], m, cols)
-                for run in grow:
-                    if run.record:
+                cols.append(j)
+            if going:
+                extend_together([run.state for run in going], m, cols)
+                for run in going:
+                    if run.steps is not None:
                         run.steps.append(run.state.fork())
             live = going
         fits += [_Fit(run.state, run.state.selected, run.q_pool, run.trace) for run in group]
@@ -700,7 +689,7 @@ def _prefetch_leaders(m, cfg, run, ctx):
     The run keeps twice as many leaders as such steps, one more for each
     branch that excludes one of them, and at most as many as
     ``_LOCKSTEP_CELLS`` holds columns of.  Their Gram columns come from one
-    product with X (``gram_columns``), and the run and the runs that resume
+    product with X (``gram_columns``), and the run and the runs started
     from its states then extend by a leader with no pass over X.
     """
     state = run.state
@@ -750,7 +739,7 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
     _steps : list, optional
         An empty list the run records its states into, the start state
         first and then one per step (``_Run``), for ``f3st``'s branches to
-        resume from.  Its start state holds the Gram columns of the first
+        start from.  Its start state holds the Gram columns of the first
         scan's leaders, from one product with X (``_advance``).
 
     Returns
@@ -767,7 +756,7 @@ def f1st(m, y, cfg=None, exclude=(), *, _steps=None, _gram=None, _stepwise=False
     if _gram is not None:
         # (G, j): y is column j of m, G = gram(m, centred=cfg.intercept)
         seed_from_gram(state, m, *_gram)
-    fit, = _advance(m, cfg, [_Run(m, state, excl, _steps)])
+    fit, = _advance(m, cfg, [_Run(m, state, excl, state.rss * _PERFECT_FIT_REL, steps=_steps)])
     return fit if _stepwise else next(_refine(m, [fit], cfg))
 
 
@@ -864,11 +853,11 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     covariate on top of the base exclusions.  Branches are deduplicated by
     exclusion set, results by selected set; the set is ordered by rss.
 
-    A branch does not start from scratch: it resumes from a slice of the
-    states kept by the run it branched from (the root, when exclusions do not
-    accumulate), those up to that run's step onto the covariate the branch
-    excludes.  It retakes their steps without reading the matrix and only
-    recomputes their P-values for its smaller competitor pool.
+    A branch does not start from scratch: it starts from a fork of the state
+    the run it branched from (the root, when exclusions do not accumulate)
+    held before its step onto the covariate the branch excludes (its last
+    state, if it never took it), and takes that run's steps to there as its
+    own, their Gaussian P-values recomputed for its smaller competitor pool.
 
     The root records its states, so after its first scan it forms, with one
     product with X, the Gram columns of the leaders of that scan, the
@@ -903,11 +892,12 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
     gram = fitted_gram(root_steps[-1])
     for state in root_steps:
         use_gram(state, m, gram)
+    floor = root_steps[0].rss * _PERFECT_FIT_REL
     seen_excl = {base}
     found = {frozenset(root.selected): (root, "root")}
     frontier = [(root, base, root_steps)]
     for depth in range(1, cfg.m + 1):
-        # only runs that later branches resume from keep their states
+        # only runs that later branches start from keep their states
         keep = accumulate_exclusions and depth < cfg.m
         branches = []
         for res, excl, steps in frontier:
@@ -918,15 +908,22 @@ def f3st(m, y, cfg=None, exclude=(), accumulate_exclusions=True):
                 if bex in seen_excl or len(bex) >= m.q:
                     continue
                 seen_excl.add(bex)
-                # src excluded a subset of bex, and its steps before any onto i
-                # chose no column of bex: from the same states this branch's
-                # scans would make the same choices and extend would build the
-                # same states, so it retakes them
-                branches.append((bex, steps[:cols.index(i) + 1] if i in cols else steps[:]))
-        runs = (_Run(m, bsteps[0].fork(), bex, bsteps, keep) for bex, bsteps in branches)
+                # src excluded a subset of bex and its steps before any onto i
+                # chose no column of bex, so from the same states this branch
+                # would take the same steps: it starts from src's state before
+                # i (its last, if src never took i) with src's steps to there,
+                # whose p_g its smaller pool can only lower.
+                t = cols.index(i) if i in cols else len(cols)
+                trace = []
+                for k, step in enumerate(src.trace[:t]):
+                    p_g = pvalues.gaussian_pvalue(step.p_f, m.q - len(bex) - k)
+                    trace.append(TraceStep(step.index, step.p_f, p_g, step.rss, p_g >= cfg.p0))
+                branches.append((bex, steps[:t + 1], trace))
+        runs = (_Run(m, bsteps[-1].fork(), bex, floor, trace, bsteps if keep else None)
+                for bex, bsteps, trace in branches)
         nxt = []
         fits = _advance(m, cfg, runs, len(gram))
-        for (bex, bsteps), r2 in zip(branches, _refine(m, fits, cfg)):
+        for (bex, bsteps, _), r2 in zip(branches, _refine(m, fits, cfg)):
             if not r2.selected:
                 continue
             key = frozenset(r2.selected)

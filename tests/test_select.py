@@ -1434,6 +1434,54 @@ class TestF3stLockstep:
                 assert len(leaders) == 1
                 assert json.dumps(alone.to_dict()) == json.dumps(got.to_dict())
 
+    def test_branches_start_where_their_source_took_the_excluded_column(self, advances,
+                                                                         monkeypatch):
+        # a branch starts at the state its source held before taking the
+        # excluded column and scans from its first round: at each depth every
+        # P_F and stepwise p_g comes from a scan, and the first extension
+        # round holds every branch that takes a step.  Without accumulation,
+        # a depth-2 or -3 branch excluding a column the root never took
+        # starts after all the root's steps.
+        calls = dict.fromkeys(["scan", "pf", "pg"], 0)
+
+        def counting(key, fn):
+            def wrapped(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(select, "scan_best", counting("scan", select.scan_best))
+        for key, name in (("pf", "pf_from_rss_ratio"), ("pg", "pg_stepwise")):
+            monkeypatch.setattr(select.pvalues, name, counting(key, getattr(select.pvalues, name)))
+        depths, advance = [], select._advance
+
+        def recording(m, cfg, runs, kept=0):
+            runs = list(runs)
+            start, before = [len(run.trace) for run in runs], dict(calls)
+            fits = advance(m, cfg, runs, kept)
+            depths.append((start, [len(run.trace) for run in runs],
+                           {k: calls[k] - before[k] for k in calls}))
+            return fits
+
+        monkeypatch.setattr(select, "_advance", recording)
+        from_last = 0
+        for make, kw, exclude in self.CORPUS.values():
+            m, y = make()
+            for accumulate in (True, False):
+                advances.clear()
+                depths.clear()
+                got = f3st(m, y, SelectionConfig(m=3, **kw), exclude=exclude,
+                           accumulate_exclusions=accumulate)
+                (_, root_end, _), *_ = depths
+                for (start, end, counted), (rounds, _) in zip(depths, advances):
+                    assert counted["pf"] == counted["pg"] == counted["scan"]
+                    taking = sum(b > a for a, b in zip(start, end))
+                    assert len(rounds[0] if rounds else []) == taking
+                if not accumulate:
+                    from_last += sum(s == root_end[0] for start, _, _ in depths[2:] for s in start)
+                assert len(got) >= 2
+        assert from_last
+
     def test_many_runs_stay_within_the_cell_budget(self, monkeypatch):
         # sixteen forced root steps, so depth 1 has sixteen branches, each
         # forced on to sixteen steps; with a budget of two runs, only two
@@ -1759,6 +1807,15 @@ class TestHostileInputs:
         assert sorted(aset.best.selected) == [1, 4]
         aset = quietly(all_subset_select, DataMatrix(X), y, cfg)
         assert [sorted(a.selected) for a in aset] == [[1, 4]]
+
+    @pytest.mark.parametrize("scale", [1e153, 2.0 ** 600])
+    def test_response_whose_sum_of_squares_overflows(self, scale):
+        # every entry is finite, but y . y is not
+        rng = np.random.default_rng(7)
+        X = rng.standard_normal((60, 30))
+        y = X[:, 0] - 2.0 * X[:, 1] + 1.5 * X[:, 2] + 0.5 * rng.standard_normal(60)
+        with pytest.raises(DomainError, match="overflows"):
+            quietly(f1st, DataMatrix(X), y * scale)
 
 
 class TestConfigValidation:
